@@ -29,7 +29,7 @@
 
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
-#include "nn/loss.hpp"
+#include "core/local_sgd.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/exec_context.hpp"
@@ -99,10 +99,7 @@ int main(int argc, char** argv) {
     exec.pool = pool.get();
 
     auto step = [&] {
-      const Tensor logits = model.forward(x, exec, /*training=*/true);
-      const LossResult loss = softmax_cross_entropy(logits, labels);
-      model.zero_grads();
-      model.backward(loss.grad, exec);
+      train_step(model, x, labels, exec);
       optimizer->step(model);
     };
     for (std::size_t i = 0; i < warmup; ++i) step();

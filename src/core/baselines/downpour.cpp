@@ -1,27 +1,11 @@
 #include "core/baselines/downpour.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
-#include "tensor/ops.hpp"
+#include "core/baselines/common.hpp"
 
 namespace vcdl {
 namespace {
-
-struct Worker {
-  Model replica;
-  std::unique_ptr<Optimizer> optimizer;
-  std::vector<float> push_buffer;   // accumulated gradients since last push
-  std::vector<std::size_t> order;   // this worker's data indices
-  std::size_t cursor = 0;
-  std::size_t steps = 0;
-  double speed = 1.0;
-  double credit = 0.0;  // fractional steps earned per round
-  bool alive = true;
-};
 
 // Appends the replica's current gradients into the push buffer.
 void accumulate_grads(Model& m, std::vector<float>& buffer) {
@@ -48,50 +32,31 @@ DownpourResult run_downpour_baseline(const DownpourSpec& spec) {
   auto server_optimizer = make_optimizer(spec.optimizer, spec.learning_rate);
 
   Rng rng(mix64(spec.seed, 0xD00D));
-  std::vector<Worker> workers;
-  workers.reserve(spec.workers);
-  // Partition the training data across workers (data parallel).
-  std::vector<std::size_t> all(data.train.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  rng.shuffle(all.begin(), all.end());
-  for (std::size_t w = 0; w < spec.workers; ++w) {
-    Worker wk{server_model, make_optimizer(spec.optimizer, spec.learning_rate),
-              {}, {}, 0, 0, 1.0, 0.0, true};
-    wk.push_buffer.assign(dim, 0.0f);
-    for (std::size_t i = w; i < all.size(); i += spec.workers) {
-      wk.order.push_back(all[i]);
-    }
-    if (w < spec.worker_speeds.size()) wk.speed = spec.worker_speeds[w];
-    workers.push_back(std::move(wk));
-  }
+  std::vector<BaselineWorker> workers =
+      make_baseline_workers(server_model, data.train.size(), spec.workers,
+                            spec.optimizer, spec.learning_rate, rng);
+  // Per-worker push buffers (gradients accumulated since the last push) and
+  // fractional step credits earned per round.
+  std::vector<std::vector<float>> push_buffers(spec.workers,
+                                               std::vector<float>(dim, 0.0f));
+  std::vector<double> credits(spec.workers, 0.0);
 
   DownpourResult result;
-  const std::size_t steps_per_worker_epoch =
-      (data.train.size() / spec.workers + spec.batch_size - 1) / spec.batch_size;
+  const std::size_t steps_per_epoch =
+      steps_per_worker_epoch(data.train.size(), spec.workers, spec.batch_size);
 
-  auto worker_step = [&](Worker& wk) {
-    const std::size_t count =
-        std::min(spec.batch_size, wk.order.size() - wk.cursor);
-    std::span<const std::size_t> idx(wk.order.data() + wk.cursor, count);
-    wk.cursor = (wk.cursor + count) % wk.order.size();
-    const Tensor x = data.train.gather_tensor(idx);
-    std::vector<std::uint16_t> labels(count);
-    for (std::size_t i = 0; i < count; ++i) labels[i] = data.train.label(idx[i]);
-    const Tensor logits = wk.replica.forward(x, true);
-    const auto loss = softmax_cross_entropy(logits, labels);
-    wk.replica.zero_grads();
-    wk.replica.backward(loss.grad);
-    accumulate_grads(wk.replica, wk.push_buffer);
+  auto worker_step = [&](BaselineWorker& wk, std::vector<float>& push_buffer) {
+    wk.step(data.train, spec.batch_size);
+    accumulate_grads(wk.replica, push_buffer);
     wk.optimizer->step(wk.replica);  // local progress between fetches
-    ++wk.steps;
     if (wk.steps % spec.n_push == 0) {
       // Server applies the accumulated gradient with its optimizer.
       std::size_t pos = 0;
       for (Tensor* g : server_model.grads()) {
-        for (auto& v : g->flat()) v = wk.push_buffer[pos++];
+        for (auto& v : g->flat()) v = push_buffer[pos++];
       }
       server_optimizer->step(server_model);
-      std::fill(wk.push_buffer.begin(), wk.push_buffer.end(), 0.0f);
+      std::fill(push_buffer.begin(), push_buffer.end(), 0.0f);
       ++result.pushes;
     }
     if (wk.steps % spec.n_fetch == 0) {
@@ -101,32 +66,23 @@ DownpourResult run_downpour_baseline(const DownpourSpec& spec) {
   };
 
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    if (spec.fail_worker >= 0 && epoch > spec.fail_after_epoch &&
-        static_cast<std::size_t>(spec.fail_worker) < workers.size()) {
-      workers[static_cast<std::size_t>(spec.fail_worker)].alive = false;
-    }
+    fail_worker_after(workers, spec.fail_worker, spec.fail_after_epoch, epoch);
     // Round-robin with speed skew: a worker earns `speed` step credits per
     // round and executes the whole ones, so slow workers push staler grads.
-    for (std::size_t round = 0; round < steps_per_worker_epoch; ++round) {
-      for (auto& wk : workers) {
-        if (!wk.alive) continue;
-        wk.credit += wk.speed;
-        while (wk.credit >= 1.0) {
-          wk.credit -= 1.0;
-          worker_step(wk);
+    for (std::size_t round = 0; round < steps_per_epoch; ++round) {
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        if (!workers[w].alive) continue;
+        credits[w] +=
+            w < spec.worker_speeds.size() ? spec.worker_speeds[w] : 1.0;
+        while (credits[w] >= 1.0) {
+          credits[w] -= 1.0;
+          worker_step(workers[w], push_buffers[w]);
         }
       }
     }
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = static_cast<double>(epoch);  // epoch index as nominal time
-    es.val_acc = evaluate_accuracy(server_model, data.validation);
-    es.test_acc = evaluate_accuracy(server_model, data.test);
-    es.mean_subtask_acc = es.val_acc;
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = spec.workers;
-    result.epochs.push_back(es);
+    // Epoch index as nominal time.
+    result.epochs.push_back(baseline_epoch_stats(
+        server_model, data, epoch, static_cast<double>(epoch), spec.workers));
   }
   return result;
 }

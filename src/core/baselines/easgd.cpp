@@ -1,11 +1,6 @@
 #include "core/baselines/easgd.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
+#include "core/baselines/common.hpp"
 
 namespace vcdl {
 
@@ -22,58 +17,23 @@ EasgdResult run_easgd_baseline(const EasgdSpec& spec) {
   std::vector<float> center = center_model.flat_params();  // x̃
   const std::size_t dim = center.size();
 
-  struct Worker {
-    Model replica;
-    std::unique_ptr<Optimizer> optimizer;
-    std::vector<std::size_t> order;
-    std::size_t cursor = 0;
-    std::size_t steps = 0;
-    bool alive = true;
-  };
-
   Rng rng(mix64(spec.seed, 0xEA5D));
-  std::vector<std::size_t> all(data.train.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  rng.shuffle(all.begin(), all.end());
-  std::vector<Worker> workers;
-  workers.reserve(spec.workers);
-  for (std::size_t w = 0; w < spec.workers; ++w) {
-    Worker wk{center_model, make_optimizer(spec.optimizer, spec.learning_rate),
-              {}, 0, 0, true};
-    for (std::size_t i = w; i < all.size(); i += spec.workers) {
-      wk.order.push_back(all[i]);
-    }
-    workers.push_back(std::move(wk));
-  }
+  std::vector<BaselineWorker> workers =
+      make_baseline_workers(center_model, data.train.size(), spec.workers,
+                            spec.optimizer, spec.learning_rate, rng);
 
   EasgdResult result;
-  const std::size_t steps_per_worker_epoch =
-      (data.train.size() / spec.workers + spec.batch_size - 1) / spec.batch_size;
+  const std::size_t steps_per_epoch =
+      steps_per_worker_epoch(data.train.size(), spec.workers, spec.batch_size);
   const auto beta = static_cast<float>(spec.moving_rate);
 
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    if (spec.fail_worker >= 0 && epoch > spec.fail_after_epoch &&
-        static_cast<std::size_t>(spec.fail_worker) < workers.size()) {
-      workers[static_cast<std::size_t>(spec.fail_worker)].alive = false;
-    }
-    for (std::size_t round = 0; round < steps_per_worker_epoch; ++round) {
+    fail_worker_after(workers, spec.fail_worker, spec.fail_after_epoch, epoch);
+    for (std::size_t round = 0; round < steps_per_epoch; ++round) {
       for (auto& wk : workers) {
         if (!wk.alive) continue;
-        const std::size_t count =
-            std::min(spec.batch_size, wk.order.size() - wk.cursor);
-        std::span<const std::size_t> idx(wk.order.data() + wk.cursor, count);
-        wk.cursor = (wk.cursor + count) % wk.order.size();
-        const Tensor x = data.train.gather_tensor(idx);
-        std::vector<std::uint16_t> labels(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          labels[i] = data.train.label(idx[i]);
-        }
-        const Tensor logits = wk.replica.forward(x, true);
-        const auto loss = softmax_cross_entropy(logits, labels);
-        wk.replica.zero_grads();
-        wk.replica.backward(loss.grad);
+        wk.step(data.train, spec.batch_size);
         wk.optimizer->step(wk.replica);
-        ++wk.steps;
         if (wk.steps % spec.tau == 0) {
           // Elastic exchange with the center variable.
           std::vector<float> x_i = wk.replica.flat_params();
@@ -88,16 +48,8 @@ EasgdResult run_easgd_baseline(const EasgdSpec& spec) {
       }
     }
     center_model.set_flat_params(center);
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = static_cast<double>(epoch);
-    es.val_acc = evaluate_accuracy(center_model, data.validation);
-    es.test_acc = evaluate_accuracy(center_model, data.test);
-    es.mean_subtask_acc = es.val_acc;
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = spec.workers;
-    result.epochs.push_back(es);
+    result.epochs.push_back(baseline_epoch_stats(
+        center_model, data, epoch, static_cast<double>(epoch), spec.workers));
   }
   return result;
 }

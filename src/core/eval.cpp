@@ -23,11 +23,6 @@ double evaluate_accuracy(Model& model, const Dataset& ds, ExecContext& ctx,
   return static_cast<double>(correct_weighted) / static_cast<double>(ds.size());
 }
 
-double evaluate_accuracy(Model& model, const Dataset& ds,
-                         std::size_t batch_size) {
-  return evaluate_accuracy(model, ds, serial_exec_context(), batch_size);
-}
-
 double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
                                    std::size_t subsample, Rng& rng,
                                    ExecContext& ctx, std::size_t batch_size) {
@@ -53,31 +48,6 @@ double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
     }
   }
   return static_cast<double>(correct) / static_cast<double>(subsample);
-}
-
-double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
-                                   std::size_t subsample, Rng& rng,
-                                   std::size_t batch_size) {
-  return evaluate_accuracy_subsample(model, ds, subsample, rng,
-                                     serial_exec_context(), batch_size);
-}
-
-double evaluate_loss(Model& model, const Dataset& ds, ExecContext& ctx,
-                     std::size_t batch_size) {
-  VCDL_CHECK(!ds.empty(), "evaluate_loss: empty dataset");
-  double total = 0.0;
-  for (std::size_t first = 0; first < ds.size(); first += batch_size) {
-    const std::size_t count = std::min(batch_size, ds.size() - first);
-    const Tensor logits =
-        model.forward(ds.batch_tensor(first, count), ctx, false);
-    const auto res = softmax_cross_entropy(logits, ds.batch_labels(first, count));
-    total += res.loss * static_cast<double>(count);
-  }
-  return total / static_cast<double>(ds.size());
-}
-
-double evaluate_loss(Model& model, const Dataset& ds, std::size_t batch_size) {
-  return evaluate_loss(model, ds, serial_exec_context(), batch_size);
 }
 
 }  // namespace vcdl

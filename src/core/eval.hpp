@@ -1,8 +1,8 @@
 // Model evaluation helpers over datasets.
 //
-// Each helper has two forms: one taking an ExecContext (so callers that own a
-// worker pool — trainer eval, the assimilator — thread it through the model's
-// forward passes) and a convenience form running on the shared serial context.
+// Every helper runs the model's inference-mode forward passes on the given
+// ExecContext: serial_exec_context() for the bit-exact serial path, or a
+// context with a worker pool (trainer eval, the assimilator).
 #pragma once
 
 #include <cstddef>
@@ -16,8 +16,6 @@ namespace vcdl {
 /// Classification accuracy of `model` on the whole dataset (batched).
 double evaluate_accuracy(Model& model, const Dataset& ds, ExecContext& ctx,
                          std::size_t batch_size = 64);
-double evaluate_accuracy(Model& model, const Dataset& ds,
-                         std::size_t batch_size = 64);
 
 /// Accuracy on a fixed-size random subsample (used by parameter servers to
 /// keep per-assimilation validation cheap; 0 or >= ds.size() = full set).
@@ -25,14 +23,5 @@ double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
                                    std::size_t subsample, Rng& rng,
                                    ExecContext& ctx,
                                    std::size_t batch_size = 64);
-double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
-                                   std::size_t subsample, Rng& rng,
-                                   std::size_t batch_size = 64);
-
-/// Mean cross-entropy loss on the dataset.
-double evaluate_loss(Model& model, const Dataset& ds, ExecContext& ctx,
-                     std::size_t batch_size = 64);
-double evaluate_loss(Model& model, const Dataset& ds,
-                     std::size_t batch_size = 64);
 
 }  // namespace vcdl

@@ -9,11 +9,11 @@
 #include "common/wire_codec.hpp"
 #include "common/thread_pool.hpp"
 #include "core/eval.hpp"
+#include "core/local_sgd.hpp"
 #include "core/param_server.hpp"
 #include "core/shard_plan.hpp"
 #include "core/work_generator.hpp"
 #include "grid/client.hpp"
-#include "nn/loss.hpp"
 #include "nn/model_io.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +32,7 @@ VcTrainer::VcTrainer(ExperimentSpec spec) : spec_(std::move(spec)) {
   VCDL_CHECK(spec_.clients >= 1, "VcTrainer: Cn >= 1");
   VCDL_CHECK(spec_.tasks_per_client >= 1, "VcTrainer: Tn >= 1");
   VCDL_CHECK(spec_.max_epochs >= 1, "VcTrainer: max_epochs >= 1");
+  VCDL_CHECK(spec_.batch_size >= 1, "VcTrainer: batch_size >= 1");
   VCDL_CHECK(spec_.param_shards >= 1, "VcTrainer: param_shards >= 1");
 }
 
@@ -301,23 +302,8 @@ TrainResult VcTrainer::run() {
     Rng task_rng = master.fork(0xE0E0 + (++subtask_counter));
     std::vector<std::size_t> order(shard.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t pass = 0; pass < spec_.local_epochs; ++pass) {
-      task_rng.shuffle(order.begin(), order.end());
-      for (std::size_t first = 0; first < order.size();
-           first += spec_.batch_size) {
-        const std::size_t count =
-            std::min(spec_.batch_size, order.size() - first);
-        std::span<const std::size_t> idx(order.data() + first, count);
-        const Tensor x = shard.gather_tensor(idx);
-        std::vector<std::uint16_t> labels(count);
-        for (std::size_t i = 0; i < count; ++i) labels[i] = shard.label(idx[i]);
-        const Tensor logits = worker_model.forward(x, exec, /*training=*/true);
-        const auto loss = softmax_cross_entropy(logits, labels);
-        worker_model.zero_grads();
-        worker_model.backward(loss.grad, exec);
-        optimizer->step(worker_model);
-      }
-    }
+    train_local(worker_model, *optimizer, shard, order, task_rng,
+                spec_.local_epochs, spec_.batch_size, exec);
     if (adversary != nullptr && adversary->is_adversary(client)) {
       // The attack tampers with the trained weights *before* encoding, so the
       // payload passes every checksum and the validator — only semantic

@@ -15,8 +15,6 @@ class ReLU : public Layer {
   ReLU() = default;
   ReLU(const ReLU&) : Layer() {}
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::size_t cache_bytes() const override {
@@ -35,8 +33,6 @@ class Tanh : public Layer {
   Tanh() = default;
   Tanh(const Tanh&) : Layer() {}
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::size_t cache_bytes() const override {
@@ -55,8 +51,6 @@ class Sigmoid : public Layer {
   Sigmoid() = default;
   Sigmoid(const Sigmoid&) : Layer() {}
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::size_t cache_bytes() const override {

@@ -15,9 +15,6 @@ class Dense : public Layer {
   /// Copies parameters/gradients but not the activation cache.
   Dense(const Dense& other);
 
-  using Layer::forward;
-  using Layer::backward;
-
   /// x: [batch, in] → [batch, out].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;

@@ -4,9 +4,11 @@
 // need from forward() for the subsequent backward(). A model instance is
 // therefore single-threaded by design — every simulated client trains on its
 // own clone, which matches the paper's data-parallel scheme (n clients ⇒ n
-// independent model copies, §II-B). Intra-model parallelism comes from the
-// ExecContext threaded through forward/backward: its worker pool splits the
-// GEMM/conv work of ONE model, it never shares a model between drivers.
+// independent model copies, §II-B). forward/backward come in one form only,
+// taking the ExecContext that supplies the worker pool and scratch arena:
+// serial_exec_context() is the bit-exact serial path, and a context with a
+// pool splits the GEMM/conv work of ONE model, never sharing a model between
+// drivers.
 //
 // Activation caches (Dense::last_x_, Conv2D's im2col buffers, ReLU masks, …)
 // are transient: they exist only between a training-mode forward and its
@@ -39,15 +41,6 @@ class Layer {
   /// dLoss/dInput. Must be called after a training-mode forward() on the
   /// same input (an inference forward drops the caches backward needs).
   virtual Tensor backward(const Tensor& grad_out, ExecContext& ctx) = 0;
-
-  /// Convenience overloads running on the shared serial context (no pool).
-  /// Derived classes re-expose them with `using Layer::forward;`.
-  Tensor forward(const Tensor& x, bool training) {
-    return forward(x, serial_exec_context(), training);
-  }
-  Tensor backward(const Tensor& grad_out) {
-    return backward(grad_out, serial_exec_context());
-  }
 
   /// Trainable parameter tensors (may be empty). Order is stable and is the
   /// order used by the flat parameter vector.

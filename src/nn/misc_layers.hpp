@@ -9,8 +9,6 @@ namespace vcdl {
 /// [B, d1, d2, ...] → [B, d1*d2*...].
 class Flatten : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::string kind() const override { return "flatten"; }
@@ -29,8 +27,6 @@ class Dropout : public Layer {
   /// Copies the rate and RNG state (persistent), not the mask (transient).
   Dropout(const Dropout& other);
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::size_t cache_bytes() const override {
@@ -57,8 +53,6 @@ class Residual : public Layer {
   explicit Residual(std::vector<std::unique_ptr<Layer>> inner);
   Residual(const Residual& other);
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::vector<Tensor*> params() override;

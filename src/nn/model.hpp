@@ -4,6 +4,8 @@
 // needs: cloning (every client trains its own copy), flat parameter get/set
 // (the unit shipped between clients and parameter servers — the paper's
 // "parameter copy" W), and parameter/gradient enumeration for optimizers.
+// forward/backward take the ExecContext every layer runs on; the minibatch
+// training step built on them lives in core/local_sgd.hpp.
 #pragma once
 
 #include <memory>
@@ -31,18 +33,12 @@ class Model {
   }
 
   /// Forward pass through every layer. `ctx` supplies the worker pool and
-  /// scratch arena each layer may use; the overload without it runs on the
-  /// shared serial context (no pool, bit-exact reference path).
+  /// scratch arena each layer may use; pass serial_exec_context() for the
+  /// bit-exact serial path (no pool).
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training = false);
-  Tensor forward(const Tensor& x, bool training = false) {
-    return forward(x, serial_exec_context(), training);
-  }
   /// Backward pass; call after a training-mode forward with the loss gradient
   /// w.r.t. the output.
   void backward(const Tensor& grad_out, ExecContext& ctx);
-  void backward(const Tensor& grad_out) {
-    backward(grad_out, serial_exec_context());
-  }
 
   std::vector<Tensor*> params();
   std::vector<Tensor*> grads();

@@ -45,15 +45,6 @@ Model tiny_resnet(std::uint64_t seed) {
                           seed);
 }
 
-Tensor train_step(Model& model, ExecContext& ctx, const Tensor& x,
-                  std::span<const std::uint16_t> labels) {
-  const Tensor logits = model.forward(x, ctx, /*training=*/true);
-  const auto loss = softmax_cross_entropy(logits, labels);
-  model.zero_grads();
-  model.backward(loss.grad, ctx);
-  return logits;
-}
-
 std::vector<float> serial_vcasgd_reference(const ExperimentSpec& spec,
                                            const TraceLog& trace) {
   VCDL_CHECK(spec.parameter_servers == 1 && spec.clients == 1 &&
@@ -122,10 +113,11 @@ std::vector<float> serial_vcasgd_reference(const ExperimentSpec& spec,
         const Tensor x = shard.gather_tensor(idx);
         std::vector<std::uint16_t> labels(count);
         for (std::size_t i = 0; i < count; ++i) labels[i] = shard.label(idx[i]);
-        const Tensor logits = model.forward(x, /*training=*/true);
+        const Tensor logits =
+            model.forward(x, serial_exec_context(), /*training=*/true);
         const auto loss = softmax_cross_entropy(logits, labels);
         model.zero_grads();
-        model.backward(loss.grad);
+        model.backward(loss.grad, serial_exec_context());
         optimizer->step(model);
       }
     }

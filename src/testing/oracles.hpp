@@ -3,10 +3,11 @@
 // Each oracle states that two different execution paths must compute the
 // same thing, so neither path needs hand-maintained expected values:
 //
-//   * serial vs pooled — one training step with an N-thread ExecContext
-//     keeps forward outputs and input gradients bit-identical to the serial
-//     path (only Conv2D's weight-gradient reduction regroups float sums; see
-//     tensor/exec_context.hpp for the contract);
+//   * serial vs pooled — one train_step (core/local_sgd.hpp) with an
+//     N-thread ExecContext keeps forward outputs and input gradients
+//     bit-identical to the serial path (only Conv2D's weight-gradient
+//     reduction regroups float sums; see tensor/exec_context.hpp for the
+//     contract);
 //   * VC-ASGD vs SGD — a P1C1T1 run with α = 0 publishes exactly the last
 //     client's parameters (server·0 + client·1), so replaying its subtasks
 //     as plain serial SGD reproduces the run's final parameters exactly;
@@ -18,13 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/job.hpp"
 #include "nn/model.hpp"
 #include "sim/trace.hpp"
-#include "tensor/exec_context.hpp"
 
 namespace vcdl::testing {
 
@@ -36,11 +35,6 @@ ExperimentSpec tiny_image_spec(bool trace = false);
 
 /// The matching miniature ResNet (3x8x8 input, 4 base filters, 1 block).
 Model tiny_resnet(std::uint64_t seed);
-
-/// One training step on `model`: forward, softmax cross-entropy, backward.
-/// Returns the logits; leaves gradients populated for inspection.
-Tensor train_step(Model& model, ExecContext& ctx, const Tensor& x,
-                  std::span<const std::uint16_t> labels);
 
 /// Replays a completed P1C1T1 α=0 run as plain serial SGD and returns the
 /// final parameter vector, which must equal the run's

@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/baselines/dcasgd.hpp"
 #include "core/baselines/downpour.hpp"
 #include "core/baselines/easgd.hpp"
 #include "core/baselines/serial.hpp"
@@ -53,6 +55,14 @@ TEST(SerialBaseline, DeterministicInSeed) {
   const SerialResult a = run_serial_baseline(spec);
   const SerialResult b = run_serial_baseline(spec);
   EXPECT_DOUBLE_EQ(a.epochs.back().val_acc, b.epochs.back().val_acc);
+}
+
+TEST(SerialBaseline, RejectsZeroBatchSize) {
+  SerialSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.batch_size = 0;
+  EXPECT_THROW(run_serial_baseline(spec), Error);
 }
 
 TEST(DownpourBaseline, LearnsOnSmallProblem) {
@@ -133,6 +143,19 @@ TEST(EasgdBaseline, TinyMovingRateFreezesCenter) {
   EXPECT_LT(result.epochs.back().val_acc, 0.25);
 }
 
+TEST(Baselines, DataParallelRejectZeroBatchSize) {
+  DownpourSpec downpour;
+  downpour.data = tiny_data();
+  downpour.model = tiny_model();
+  downpour.batch_size = 0;
+  EXPECT_THROW(run_downpour_baseline(downpour), Error);
+  EasgdSpec easgd;
+  easgd.data = tiny_data();
+  easgd.model = tiny_model();
+  easgd.batch_size = 0;
+  EXPECT_THROW(run_easgd_baseline(easgd), Error);
+}
+
 TEST(EasgdBaseline, RejectsBadMovingRate) {
   EasgdSpec spec;
   spec.data = tiny_data();
@@ -143,58 +166,117 @@ TEST(EasgdBaseline, RejectsBadMovingRate) {
   EXPECT_THROW(run_easgd_baseline(spec), Error);
 }
 
-TEST(DcAsgdBaseline, LearnsUnderStaleness) {
-  DcAsgdSpec spec;
+// Bit-exact goldens for every baseline on the tiny spec. Each run is
+// deterministic in its seed, so any change to a baseline's RNG-to-batch
+// mapping, step order or update rule moves these values.
+struct GoldenRun {
+  std::vector<EpochStats> epochs;
+  std::vector<double> counters;  // per-baseline counters, in declared order
+};
+
+struct BaselineGolden {
+  const char* name;
+  GoldenRun (*run)();
+  std::vector<double> val_acc;
+  std::vector<double> test_acc;
+  std::vector<double> counters;
+};
+
+GoldenRun serial_golden_run() {
+  SerialSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.max_epochs = 3;
+  spec.batch_size = 10;
+  spec.learning_rate = 3e-3;
+  SerialResult r = run_serial_baseline(spec);
+  return {std::move(r.epochs), {r.duration_s}};
+}
+
+GoldenRun downpour_golden_run() {
+  DownpourSpec spec;
   spec.data = tiny_data();
   spec.model = tiny_model();
   spec.workers = 3;
-  spec.max_epochs = 12;
+  spec.max_epochs = 3;
   spec.batch_size = 10;
-  spec.learning_rate = 0.05;  // plain SGD needs a larger step than Adam
-  spec.staleness = 4;
-  const DcAsgdResult result = run_dcasgd_baseline(spec);
-  ASSERT_EQ(result.epochs.size(), 12u);
-  EXPECT_GT(result.updates, 0u);
-  double best = 0.0;
-  for (const auto& e : result.epochs) best = std::max(best, e.val_acc);
-  EXPECT_GT(best, 0.25);
+  spec.n_push = 3;
+  spec.n_fetch = 2;
+  spec.learning_rate = 3e-3;
+  spec.worker_speeds = {1.0, 0.5, 1.0};
+  spec.fail_worker = 2;
+  spec.fail_after_epoch = 2;
+  DownpourResult r = run_downpour_baseline(spec);
+  return {std::move(r.epochs), {static_cast<double>(r.pushes),
+                                static_cast<double>(r.fetches)}};
 }
 
-TEST(DcAsgdBaseline, CompensationActuallyApplied) {
-  DcAsgdSpec with;
-  with.data = tiny_data();
-  with.model = tiny_model();
-  with.max_epochs = 2;
-  with.staleness = 6;
-  with.lambda = 0.5;
-  const DcAsgdResult r = run_dcasgd_baseline(with);
-  EXPECT_GT(r.mean_compensation, 0.0);
-  DcAsgdSpec without = with;
-  without.lambda = 0.0;
-  EXPECT_DOUBLE_EQ(run_dcasgd_baseline(without).mean_compensation, 0.0);
-}
-
-TEST(DcAsgdBaseline, FailedWorkerReducesUpdates) {
-  DcAsgdSpec healthy;
-  healthy.data = tiny_data();
-  healthy.model = tiny_model();
-  healthy.workers = 4;
-  healthy.max_epochs = 3;
-  DcAsgdSpec faulty = healthy;
-  faulty.fail_worker = 1;
-  faulty.fail_after_epoch = 1;
-  const auto a = run_dcasgd_baseline(healthy);
-  const auto b = run_dcasgd_baseline(faulty);
-  EXPECT_GT(a.updates, b.updates);
-}
-
-TEST(DcAsgdBaseline, RejectsNegativeLambda) {
-  DcAsgdSpec spec;
+GoldenRun easgd_golden_run() {
+  EasgdSpec spec;
   spec.data = tiny_data();
   spec.model = tiny_model();
-  spec.lambda = -0.1;
-  EXPECT_THROW(run_dcasgd_baseline(spec), Error);
+  spec.workers = 3;
+  spec.max_epochs = 3;
+  spec.batch_size = 10;
+  spec.tau = 2;
+  spec.learning_rate = 3e-3;
+  spec.moving_rate = 0.3;
+  spec.fail_worker = 1;
+  spec.fail_after_epoch = 1;
+  EasgdResult r = run_easgd_baseline(spec);
+  return {std::move(r.epochs), {static_cast<double>(r.exchanges)}};
 }
+
+void PrintTo(const BaselineGolden& golden, std::ostream* os) {
+  *os << golden.name;
+}
+
+class BaselineGoldens : public ::testing::TestWithParam<BaselineGolden> {};
+
+TEST_P(BaselineGoldens, BitExact) {
+  const BaselineGolden& golden = GetParam();
+  const GoldenRun run = golden.run();
+  std::vector<double> val_acc;
+  std::vector<double> test_acc;
+  for (const EpochStats& e : run.epochs) {
+    val_acc.push_back(e.val_acc);
+    test_acc.push_back(e.test_acc);
+  }
+  std::ostringstream actual;
+  actual.precision(17);
+  actual << "val_acc:";
+  for (const double v : val_acc) actual << ' ' << v;
+  actual << "\ntest_acc:";
+  for (const double v : test_acc) actual << ' ' << v;
+  actual << "\ncounters:";
+  for (const double v : run.counters) actual << ' ' << v;
+  SCOPED_TRACE(actual.str());
+  EXPECT_EQ(val_acc, golden.val_acc);
+  EXPECT_EQ(test_acc, golden.test_acc);
+  EXPECT_EQ(run.counters, golden.counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TinySpec, BaselineGoldens,
+    ::testing::Values(
+        BaselineGolden{"serial",
+                       serial_golden_run,
+                       {0.1625, 0.25, 0.325},
+                       {0.15, 0.2125, 0.275},
+                       {1956.521739130435}},  // duration_s
+        BaselineGolden{"downpour",
+                       downpour_golden_run,
+                       {0.1625, 0.175, 0.175},
+                       {0.0625, 0.1125, 0.1625},
+                       {30, 45}},  // pushes, fetches
+        BaselineGolden{"easgd",
+                       easgd_golden_run,
+                       {0.1125, 0.1125, 0.1625},
+                       {0.0875, 0.15, 0.15},
+                       {49}}),  // exchanges
+    [](const ::testing::TestParamInfo<BaselineGolden>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 TEST(Baselines, ValidationTracksTest) {
   SerialSpec spec;

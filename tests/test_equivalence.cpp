@@ -14,6 +14,7 @@
 #include "common/compress.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/model_io.hpp"
 #include "storage/checkpoint.hpp"
@@ -34,7 +35,6 @@ using testing::prop_assert;
 using testing::run_property;
 using testing::serial_vcasgd_reference;
 using testing::tiny_image_spec;
-using testing::train_step;
 
 // --- Serial vs pooled ExecContext on random models --------------------------
 
@@ -53,8 +53,8 @@ TEST(Equivalence, SerialVsThreadedTrainingStepOnRandomModels) {
     pooled_ctx.pool = &pool;
 
     const Tensor ys =
-        train_step(serial, serial_exec_context(), mc.input, mc.labels);
-    const Tensor yp = train_step(pooled, pooled_ctx, mc.input, mc.labels);
+        train_step(serial, mc.input, mc.labels, serial_exec_context());
+    const Tensor yp = train_step(pooled, mc.input, mc.labels, pooled_ctx);
 
     // Contract (tensor/exec_context.hpp): forwards are bit-identical.
     prop_assert(ys.shape() == yp.shape(), mc.desc + ": logit shape differs");
@@ -253,8 +253,8 @@ TEST(Equivalence, ParamAndArchitectureCodecsRoundTripRandomModels) {
     // And loading the original parameters into the rebuilt model must
     // reproduce the original forward exactly.
     load_params_into(rebuilt, save_params(mc.model));
-    const Tensor y0 = mc.model.forward(mc.input);
-    const Tensor y1 = rebuilt.forward(mc.input);
+    const Tensor y0 = mc.model.forward(mc.input, serial_exec_context());
+    const Tensor y1 = rebuilt.forward(mc.input, serial_exec_context());
     for (std::size_t i = 0; i < y0.numel(); ++i) {
       prop_assert(y0[i] == y1[i], mc.desc + ": rebuilt forward differs");
     }

@@ -16,10 +16,10 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
-#include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/exec_context.hpp"
@@ -32,7 +32,6 @@ namespace {
 // The shared miniature job + helpers (testing/oracles.hpp). The golden
 // values below are pinned to tiny_image_spec — see its doc comment.
 using testing::tiny_resnet;
-using testing::train_step;
 
 ExperimentSpec tiny_spec() { return testing::tiny_image_spec(); }
 
@@ -82,8 +81,8 @@ TEST(ExecThreading, OneThreadPoolBitIdenticalToSerial) {
   const Tensor x = Tensor::randn(Shape{6, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
 
-  const Tensor ys = train_step(serial, serial_exec_context(), x, labels);
-  const Tensor yp = train_step(pooled, pooled_ctx, x, labels);
+  const Tensor ys = train_step(serial, x, labels, serial_exec_context());
+  const Tensor yp = train_step(pooled, x, labels, pooled_ctx);
   ASSERT_TRUE(ys.shape() == yp.shape());
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
 
@@ -107,8 +106,8 @@ TEST(ExecThreading, FourThreadForwardBitIdenticalGradsWithinTolerance) {
   const Tensor x = Tensor::randn(Shape{8, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5, 6, 7};
 
-  const Tensor ys = train_step(serial, serial_exec_context(), x, labels);
-  const Tensor yp = train_step(pooled, pooled_ctx, x, labels);
+  const Tensor ys = train_step(serial, x, labels, serial_exec_context());
+  const Tensor yp = train_step(pooled, x, labels, pooled_ctx);
   // Forward batch-splitting writes disjoint slices: bit-identical.
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
   // Only the Conv2D weight-gradient reduction regroups float sums; every
@@ -153,11 +152,11 @@ TEST(CacheLifecycle, TrainingCachesInferenceDoesNot) {
   Rng rng(7);
   const Tensor x = Tensor::randn(Shape{4, 3, 8, 8}, rng);
   EXPECT_EQ(m.cache_bytes(), 0u);
-  (void)m.forward(x, /*training=*/true);
+  (void)m.forward(x, serial_exec_context(), /*training=*/true);
   const std::size_t trained = m.cache_bytes();
   EXPECT_GT(trained, 0u);
   // An inference pass must not just skip caching — it must free stale caches.
-  (void)m.forward(x, /*training=*/false);
+  (void)m.forward(x, serial_exec_context(), /*training=*/false);
   EXPECT_EQ(m.cache_bytes(), 0u);
 }
 
@@ -166,7 +165,7 @@ TEST(CacheLifecycle, CloneCarriesNoCaches) {
   Rng rng(9);
   const Tensor x = Tensor::randn(Shape{4, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3};
-  (void)train_step(m, serial_exec_context(), x, labels);
+  (void)train_step(m, x, labels, serial_exec_context());
   ASSERT_GT(m.cache_bytes(), 0u);
   const Model clone = m;
   EXPECT_EQ(clone.cache_bytes(), 0u);
@@ -178,24 +177,28 @@ TEST(CacheLifecycle, BackwardAfterInferenceForwardThrows) {
   Rng rng(13);
   Dense dense(4, 3, Init::he_normal, rng);
   const Tensor x = Tensor::randn(Shape{2, 4}, rng);
-  (void)dense.forward(x, /*training=*/false);
-  EXPECT_THROW(dense.backward(Tensor(Shape{2, 3})), Error);
+  (void)dense.forward(x, serial_exec_context(), /*training=*/false);
+  EXPECT_THROW(dense.backward(Tensor(Shape{2, 3}), serial_exec_context()),
+               Error);
 
   Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
-  (void)conv.forward(img, /*training=*/false);
-  EXPECT_THROW(conv.backward(Tensor(Shape{2, 2, 4, 4})), Error);
+  (void)conv.forward(img, serial_exec_context(), /*training=*/false);
+  EXPECT_THROW(
+      conv.backward(Tensor(Shape{2, 2, 4, 4}), serial_exec_context()), Error);
 }
 
 TEST(CacheLifecycle, BackwardOnFreshCloneThrows) {
   Rng rng(31);
   Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
-  (void)conv.forward(img, /*training=*/true);
+  (void)conv.forward(img, serial_exec_context(), /*training=*/true);
   const auto clone = conv.clone();
-  EXPECT_THROW(clone->backward(Tensor(Shape{2, 2, 4, 4})), Error);
+  EXPECT_THROW(
+      clone->backward(Tensor(Shape{2, 2, 4, 4}), serial_exec_context()),
+      Error);
   // The original still has its cache and can run backward.
-  (void)conv.backward(Tensor(Shape{2, 2, 4, 4}));
+  (void)conv.backward(Tensor(Shape{2, 2, 4, 4}), serial_exec_context());
 }
 
 // --- Conv2D pool-vs-serial invariants --------------------------------------
@@ -210,13 +213,13 @@ TEST(Conv2DThreading, PoolForwardAndInputGradBitIdenticalWeightGradClose) {
   const Tensor x = Tensor::randn(Shape{7, 3, 6, 6}, rng);
   const Tensor dy = Tensor::randn(Shape{7, 4, 6, 6}, rng);
 
-  const Tensor ys = serial.forward(x, /*training=*/true);
+  const Tensor ys = serial.forward(x, serial_exec_context(), /*training=*/true);
   const Tensor yp = pooled.forward(x, ctx, /*training=*/true);
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
 
   serial.zero_grads();
   pooled.zero_grads();
-  const Tensor dxs = serial.backward(dy);
+  const Tensor dxs = serial.backward(dy, serial_exec_context());
   const Tensor dxp = pooled.backward(dy, ctx);
   // dX is per-item disjoint: bit-identical under batch splitting.
   for (std::size_t i = 0; i < dxs.numel(); ++i) EXPECT_EQ(dxs[i], dxp[i]);
@@ -323,9 +326,9 @@ TEST(ExecThreading, ForcedScalarTierBitIdenticalToActiveTierTrainStep) {
   const Tensor x = Tensor::randn(Shape{6, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
 
-  const Tensor ya = train_step(active, serial_exec_context(), x, labels);
+  const Tensor ya = train_step(active, x, labels, serial_exec_context());
   ops::set_simd_tier_override(ops::SimdTier::scalar);
-  const Tensor ys = train_step(scalar, serial_exec_context(), x, labels);
+  const Tensor ys = train_step(scalar, x, labels, serial_exec_context());
   ops::set_simd_tier_override(std::nullopt);
 
   for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], ys[i]);

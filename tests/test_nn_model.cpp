@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/local_sgd.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
@@ -51,7 +52,8 @@ TEST(Model, CopyIsIndependent) {
 
 TEST(Model, ForwardShape) {
   Model m = tiny_mlp();
-  const Tensor y = m.forward(Tensor(Shape{5, 4}), false);
+  const Tensor y =
+      m.forward(Tensor(Shape{5, 4}), serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{5, 3}));
 }
 
@@ -59,10 +61,8 @@ TEST(Model, ZeroGradsClearsAll) {
   Model m = tiny_mlp();
   Rng rng(2);
   const Tensor x = Tensor::randn(Shape{2, 4}, rng);
-  const Tensor y = m.forward(x, true);
   const std::vector<std::uint16_t> labels = {0, 1};
-  const auto loss = softmax_cross_entropy(y, labels);
-  m.backward(loss.grad);
+  train_step(m, x, labels, serial_exec_context());
   m.zero_grads();
   for (Tensor* g : m.grads()) {
     for (const float v : g->flat()) EXPECT_EQ(v, 0.0f);
@@ -87,7 +87,8 @@ TEST(ModelIo, ArchitectureRoundTripResNet) {
   EXPECT_EQ(rebuilt.flat_params(),
             load_architecture(save_architecture(m), 3).flat_params());
   // Forward works on the rebuilt model.
-  const Tensor y = rebuilt.forward(Tensor(Shape{1, 3, 8, 8}), false);
+  const Tensor y = rebuilt.forward(Tensor(Shape{1, 3, 8, 8}),
+                                   serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{1, 10}));
 }
 
@@ -174,12 +175,10 @@ TEST_P(OptimizerSweep, ReducesLoss) {
   double first_loss = 0;
   double last_loss = 0;
   for (int step = 0; step < 60; ++step) {
-    const Tensor logits = m.forward(x, true);
-    const auto loss = softmax_cross_entropy(logits, labels);
-    if (step == 0) first_loss = loss.loss;
-    last_loss = loss.loss;
-    m.zero_grads();
-    m.backward(loss.grad);
+    const Tensor logits = train_step(m, x, labels, serial_exec_context());
+    const double loss = softmax_cross_entropy(logits, labels).loss;
+    if (step == 0) first_loss = loss;
+    last_loss = loss;
     opt->step(m);
   }
   EXPECT_LT(last_loss, first_loss * 0.7);
@@ -203,7 +202,8 @@ TEST(ModelZoo, ResNetLiteForwardShapes) {
   const ResNetLiteSpec spec{.height = 12, .width = 12, .base_filters = 4,
                             .blocks = 1};
   Model m = make_resnet_lite(spec, 5);
-  const Tensor y = m.forward(Tensor(Shape{2, 3, 12, 12}), false);
+  const Tensor y =
+      m.forward(Tensor(Shape{2, 3, 12, 12}), serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{2, 10}));
   EXPECT_GT(m.parameter_count(), 1000u);
 }

@@ -23,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
+#include "grid/consensus.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
 #include "obs/metrics.hpp"
@@ -532,6 +533,45 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
         << "fault kind '" << k << "' never incremented its counter";
   }
   EXPECT_EQ(registered_with_prefix("faults."), expected);
+}
+
+// The consensus stack registers its counters when the feature is configured
+// (ConsensusBuffer construction, adaptive replication, a positive blend
+// guard threshold). Once all three are set up, the registered consensus.*
+// counters are exactly consensus_metric_names(), which is exactly the set
+// the catalogue in docs/OBSERVABILITY.md lists.
+TEST(ObsCoverage, ConsensusMetricsMatchRegisteredCounters) {
+  const ConsensusBuffer buffer({.quorum = 2, .tolerance = 0.0}, nullptr);
+  Scheduler scheduler;
+  scheduler.enable_adaptive_replication({}, Rng(1));
+  (void)blend_outlier({1.0f}, {1.0f}, 0.5);
+
+  const std::set<std::string> documented = {
+      "consensus.blend_rejected",   "consensus.fallback_promoted",
+      "consensus.quorum_promoted",  "consensus.replicas_flushed",
+      "consensus.replicas_held",    "consensus.results_outvoted",
+      "consensus.solo_grants",      "consensus.spot_checks"};
+  std::set<std::string> declared;
+  for (const auto& name : consensus_metric_names()) {
+    declared.insert("consensus." + name);
+  }
+  EXPECT_EQ(declared, documented);
+  EXPECT_EQ(registered_with_prefix("consensus."), documented);
+}
+
+// The assimilator registers the wire_codec.* counters with the rest of its
+// metrics; a delta-codec run decodes frames through them.
+TEST(ObsCoverage, WireCodecMetricsMatchRegisteredCounters) {
+  ExperimentSpec spec = tiny_image_spec();
+  spec.wire_codec = "delta";
+  const TrainResult result = run_experiment(spec);
+  ASSERT_FALSE(result.epochs.empty());
+  EXPECT_GT(obs::registry().counter("wire_codec.frames_decoded").value(), 0u);
+
+  const std::set<std::string> documented = {"wire_codec.base_misses",
+                                            "wire_codec.frames_decoded",
+                                            "wire_codec.frames_dropped"};
+  EXPECT_EQ(registered_with_prefix("wire_codec."), documented);
 }
 
 // --- End-to-end determinism (the tier-1 acceptance criterion) ---------------

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "core/eval.hpp"
+#include "core/local_sgd.hpp"
 #include "data/shards.hpp"
-#include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 
@@ -81,24 +81,10 @@ TEST(Timeseries, MlpLearnsRegimes) {
   Rng rng(9);
   std::vector<std::size_t> order(data.train.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  for (int pass = 0; pass < 6; ++pass) {
-    rng.shuffle(order.begin(), order.end());
-    for (std::size_t first = 0; first < order.size(); first += 20) {
-      const std::size_t count = std::min<std::size_t>(20, order.size() - first);
-      std::span<const std::size_t> idx(order.data() + first, count);
-      const Tensor x = data.train.gather_tensor(idx);
-      std::vector<std::uint16_t> labels(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        labels[i] = data.train.label(idx[i]);
-      }
-      const Tensor logits = model.forward(x, true);
-      const auto loss = softmax_cross_entropy(logits, labels);
-      model.zero_grads();
-      model.backward(loss.grad);
-      optimizer->step(model);
-    }
-  }
-  EXPECT_GT(evaluate_accuracy(model, data.validation), 0.45);
+  train_local(model, *optimizer, data.train, order, rng, /*passes=*/6,
+              /*batch_size=*/20, serial_exec_context());
+  EXPECT_GT(
+      evaluate_accuracy(model, data.validation, serial_exec_context()), 0.45);
 }
 
 TEST(Timeseries, ShardsPipelineWorks) {

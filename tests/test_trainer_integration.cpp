@@ -183,6 +183,14 @@ TEST(TrainerIntegration, InvalidSpecRejected) {
   EXPECT_THROW(VcTrainer{spec}, Error);
 }
 
+TEST(TrainerIntegration, ZeroBatchSizeRejected) {
+  // A zero batch would never advance the local-SGD loop; it must fail up
+  // front with a clear message, not deep inside a layer's backward.
+  ExperimentSpec spec = tiny_spec();
+  spec.batch_size = 0;
+  EXPECT_THROW(run_experiment(spec), Error);
+}
+
 TEST(TrainerIntegration, ReliabilityGateRunCompletes) {
   ExperimentSpec spec = tiny_spec();
   spec.reliability_gate = 0.45;
