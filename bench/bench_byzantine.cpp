@@ -92,9 +92,11 @@ int main(int argc, char** argv) {
   Table table({"policy", "fraction", "final acc", "val acc", "hours",
                "attacks", "quorums", "fallbacks", "outvoted", "blend rej"});
   double baseline_acc[2] = {0.0, 0.0};
+  obs::MetricsSnapshot last_metrics;
   for (const bool quorum : {false, true}) {
     for (const double fraction : {0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5}) {
       const TrainResult r = run_experiment(make_spec(fraction, quorum));
+      last_metrics = r.metrics;
       RunRow row;
       row.policy = quorum ? "quorum m=2/k=3" : "first-valid";
       row.fraction = fraction;
@@ -152,6 +154,7 @@ int main(int argc, char** argv) {
 
   // Telemetry of the last (heaviest-attack, full-defense) run: consensus.*
   // counters alongside the usual grid/fault taxonomies.
-  bench::write_obs_json("byzantine", cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("byzantine", last_metrics,
+                        cfg.get_string("obs_out", "BENCH_obs.json"));
   return 0;
 }

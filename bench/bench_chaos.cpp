@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   Table crashes({"crashes", "hours", "slowdown", "reissued units",
                  "ckpt restores", "final acc"});
   double crash_base_s = 0.0;
+  obs::MetricsSnapshot last_metrics;
   for (const int n_crashes : {0, 1, 2, 4}) {
     ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/4);
     spec.parameter_servers = 3;
@@ -74,6 +75,7 @@ int main(int argc, char** argv) {
     spec.faults.server_recovery_s = 60.0;
     spec.checkpoint_interval_s = 120.0;
     const TrainResult r = run_experiment(spec);
+    last_metrics = r.metrics;
     if (n_crashes == 0) crash_base_s = r.totals.duration_s;
     const double hours = r.totals.duration_s / 3600.0;
     crashes.add_row({Table::fmt(r.totals.server_crashes), Table::fmt(hours, 2),
@@ -86,9 +88,10 @@ int main(int argc, char** argv) {
   std::cout << "(each crash rewinds to the last checkpoint and re-runs lost "
                "units; the job completes every time)\n";
 
-  // Telemetry export: each run resets the registry at entry, so this is the
-  // final (heaviest-crash) run's fault/recovery counters and latency
-  // histograms — the chaos profile at the top of the sweep.
-  bench::write_obs_json("chaos", cfg.get_string("obs_out", "BENCH_obs.json"));
+  // Telemetry export: the final (heaviest-crash) run's fault/recovery
+  // counters and latency histograms — the chaos profile at the top of the
+  // sweep.
+  bench::write_obs_json("chaos", last_metrics,
+                        cfg.get_string("obs_out", "BENCH_obs.json"));
   return 0;
 }

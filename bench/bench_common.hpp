@@ -57,15 +57,16 @@ inline void add_epoch_rows(Table& table, const std::string& series,
   }
 }
 
-/// Exports the current global-registry telemetry as BENCH_obs.json (or
-/// `path`): the full MetricsSnapshot JSON wrapped with bench identity.
-/// Outside a simulation the registry runs on the wall clock, so hot-path
-/// span histograms (exec.gemm_s, exec.im2col_s, ...) carry real kernel-time
-/// distributions. Note VcTrainer::run() resets the registry at entry — after
-/// a sweep of runs the snapshot covers exactly the last run.
+/// Exports `snapshot` as BENCH_obs.json (or `path`): the full
+/// MetricsSnapshot JSON wrapped with bench identity. Simulation benches pass
+/// a run's TrainResult::metrics (each run owns its registry); benches that
+/// time kernels outside a simulation pass the process registry's snapshot,
+/// whose wall-clock span histograms (exec.gemm_s, exec.im2col_s, ...) carry
+/// real kernel-time distributions.
 inline void write_obs_json(const std::string& bench_name,
+                           const obs::MetricsSnapshot& snapshot,
                            const std::string& path) {
-  std::string metrics = obs::registry().snapshot().to_json();
+  std::string metrics = snapshot.to_json();
   while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
   std::ofstream out(path);
   out << "{\n"

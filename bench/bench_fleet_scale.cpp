@@ -156,8 +156,8 @@ class FleetSim {
     r.engine_compactions = engine_.compactions();
     r.final_heap = engine_.heap_size();
     r.final_deadline_heap = sched_.deadline_heap_size();
-    r.results = sched_.stats().results;
-    r.timeouts = sched_.stats().timeouts;
+    r.results = metrics_.counter("scheduler.results").value();
+    r.timeouts = metrics_.counter("scheduler.failure.timeout").value();
     return r;
   }
 
@@ -247,7 +247,13 @@ class FleetSim {
   FleetParams p_;
   Rng rng_;
   SimEngine engine_;
-  Scheduler sched_;
+  // Each simulation counts into its own registry, so one size's scheduler
+  // counters never include an earlier size's.
+  obs::Registry metrics_;
+  Scheduler sched_ = [this] {
+    const obs::ScopedRegistry scope(metrics_);
+    return Scheduler();
+  }();
   std::vector<ClientSim> states_;
 };
 

@@ -165,7 +165,8 @@ int main(int argc, char** argv) {
   const auto& gemm = obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
   std::cout << "exec.gemm_s: " << gemm.count() << " spans, p95 "
             << Table::fmt(gemm.percentile(0.95) * 1e3, 3) << " ms\n";
-  bench::write_obs_json("hotpath", cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("hotpath", obs::registry().snapshot(),
+                        cfg.get_string("obs_out", "BENCH_obs.json"));
 
   if (smoke) {
     // CI gate: the widest in-core pool must not lose to serial. On a 1-core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/registry_slot.hpp"
 
 namespace vcdl {
 namespace {
@@ -67,13 +68,19 @@ void ThreadPool::parallel_for_indexed(
     return;
   }
   const std::size_t chunk = (n + chunks - 1) / chunks;
+  // Chunks record metrics into the dispatcher's registry (a run's own), not
+  // into whatever the worker thread last saw.
+  obs::Registry* const registry = detail::t_current_registry;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks - 1);
   for (std::size_t c = 1; c < chunks; ++c) {
     const std::size_t lo = begin + c * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    futures.push_back(submit([&fn, c, lo, hi] { fn(c, lo, hi); }));
+    futures.push_back(submit([&fn, registry, c, lo, hi] {
+      const detail::RegistrySlotGuard slot(registry);
+      fn(c, lo, hi);
+    }));
   }
   // The caller runs chunk 0 itself instead of blocking on the futures: on a
   // host with as many cores as workers, a sleeping dispatcher thread would

@@ -44,7 +44,9 @@ class ThreadPool {
   /// instead of sleeping), then blocks until all chunks finish. Exceptions
   /// from fn propagate to the caller (first one wins) — only after every
   /// chunk has completed, so fn can never dangle. Called from a worker of
-  /// this pool, the whole range runs inline on the caller (see above).
+  /// this pool, the whole range runs inline on the caller (see above). Every
+  /// chunk runs with the caller's current metrics registry
+  /// (common/registry_slot.hpp).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

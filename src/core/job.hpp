@@ -170,6 +170,10 @@ struct EpochStats {
   std::size_t results = 0;      // subtask results assimilated this epoch
 };
 
+/// Headline totals of one run. The event counts are read from
+/// TrainResult::metrics (the name each mirrors is in docs/OBSERVABILITY.md);
+/// durations, costs, parameter count, checkpoint restores and the codec's
+/// param_bytes_* come from the run's objects.
 struct RunTotals {
   SimTime duration_s = 0.0;
   double cost_standard_usd = 0.0;
@@ -218,9 +222,10 @@ struct TrainResult {
   /// Authoritative (published) parameter vector at job end. Equivalence
   /// oracles compare this bitwise against reference replays.
   std::vector<float> final_params;
-  /// Final state of the global obs registry for this run (the registry is
-  /// reset at run entry, so this covers exactly this run). Deterministic
-  /// under same-seed replay: the telemetry oracle byte-compares to_json().
+  /// Final state of the run's own obs registry, so it covers exactly this
+  /// run whatever else ran in the process. Deterministic under same-seed
+  /// replay: the telemetry oracle byte-compares to_json(). Every RunTotals
+  /// event count is read from it.
   obs::MetricsSnapshot metrics;
   /// Periodic snapshots, when enabled; empty otherwise.
   std::vector<MetricsSample> metric_timeline;

@@ -9,41 +9,9 @@
 #include "core/vcasgd.hpp"
 #include "grid/consensus.hpp"
 #include "nn/model_io.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
-namespace {
-struct AssimilatorMetrics {
-  obs::Counter& updates =
-      obs::registry().counter("assimilator.updates_applied");
-  obs::Counter& outage_retries =
-      obs::registry().counter("store.outage_retries");
-  // Modeled (virtual-time) latencies — deterministic under simulation.
-  obs::Histogram& alpha_mix_s =
-      obs::registry().histogram("assimilator.alpha_mix_s", {0.0, 10.0, 50});
-  obs::Histogram& gradient_age =
-      obs::registry().histogram("assimilator.gradient_age", {0.0, 64.0, 64});
-  obs::Histogram& read_s =
-      obs::registry().histogram("store.read_s", {0.0, 5.0, 50});
-  obs::Histogram& write_s =
-      obs::registry().histogram("store.write_s", {0.0, 5.0, 50});
-  obs::Gauge& staleness = obs::registry().gauge("store.staleness_at_read");
-  // Wire-codec upload decoding (common/wire_codec.hpp).
-  obs::Counter& frames_decoded =
-      obs::registry().counter("wire_codec.frames_decoded");
-  obs::Counter& base_misses =
-      obs::registry().counter("wire_codec.base_misses");
-  obs::Counter& frames_dropped =
-      obs::registry().counter("wire_codec.frames_dropped");
-};
-
-AssimilatorMetrics& metrics() {
-  static AssimilatorMetrics m;
-  return m;
-}
-}  // namespace
-
 VcAsgdAssimilator::VcAsgdAssimilator(
     SimEngine& engine, KvStore& store, FileServer& files, GridServer& server,
     const AlphaSchedule& schedule, Model eval_model, const Dataset& validation,
@@ -133,14 +101,14 @@ void VcAsgdAssimilator::commit(
       // store when another worker's blend slipped in (its update is what we
       // clobbered). Shards commit in lockstep, so every shard reports the
       // same staleness and the gauge holds one value.
-      metrics().staleness.set(
+      metrics_.staleness.set(
           static_cast<double>(new_version - read_versions[s] - 1));
     }
   }
   published_ = params;
   ++commits_;
   remember_base();
-  metrics().updates.inc();
+  metrics_.updates.inc();
 }
 
 void VcAsgdAssimilator::remember_base() {
@@ -173,18 +141,18 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_payload(
   const auto& ring = base_rings_[0];
   const auto it = ring.find(frame.base_version);
   if (it != ring.end() && it->second.hash == frame.base_hash) {
-    metrics().frames_decoded.inc();
+    metrics_.frames_decoded.inc();
     ++shard_stats_[0].frames_decoded;
     return decode_params(payload, it->second.params);
   }
-  metrics().base_misses.inc();
+  metrics_.base_misses.inc();
   ++shard_stats_[0].base_misses;
   if (frame.mode == WireMode::delta) {
     // Lossless deltas are zigzag diffs of the floats' *bit patterns*;
     // decoded against anything but their exact encode base they become
     // arbitrary floats (NaN/Inf included), so a ring miss drops the upload
     // rather than poisoning the blend.
-    metrics().frames_dropped.inc();
+    metrics_.frames_dropped.inc();
     ++shard_stats_[0].frames_dropped;
     return std::nullopt;
   }
@@ -199,7 +167,7 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_bundle(
   if (parts.size() != plan_.shards()) {
     // A bundle from a different plan (or a sabotaged client) cannot be
     // routed; drop it like a ring-missed delta.
-    metrics().frames_dropped.inc();
+    metrics_.frames_dropped.inc();
     return std::nullopt;
   }
   std::vector<float> out(plan_.total());
@@ -210,16 +178,16 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_bundle(
     const auto it = ring.find(frame.base_version);
     std::vector<float> slice;
     if (it != ring.end() && it->second.hash == frame.base_hash) {
-      metrics().frames_decoded.inc();
+      metrics_.frames_decoded.inc();
       ++shard_stats_[s].frames_decoded;
       slice = decode_params(parts[s], it->second.params);
     } else {
-      metrics().base_misses.inc();
+      metrics_.base_misses.inc();
       ++shard_stats_[s].base_misses;
       if (frame.mode == WireMode::delta) {
         // One undecodable bit-space part poisons the concatenated vector;
         // the whole upload is dropped, mirroring the monolithic ring miss.
-        metrics().frames_dropped.inc();
+        metrics_.frames_dropped.inc();
         ++shard_stats_[s].frames_dropped;
         return std::nullopt;
       }
@@ -274,7 +242,6 @@ std::optional<std::vector<float>> VcAsgdAssimilator::guarded_decode(
   if (client_params.has_value() &&
       blend_outlier(server_params, *client_params,
                     options_.blend_outlier_threshold)) {
-    ++blend_rejections_;
     trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
                   env.unit.label() + " client-" + std::to_string(env.client));
     client_params.reset();
@@ -289,7 +256,7 @@ void VcAsgdAssimilator::note_exec_base(WorkunitId unit) {
 void VcAsgdAssimilator::observe_gradient_age(WorkunitId unit) {
   const auto it = exec_base_.find(unit);
   if (it == exec_base_.end()) return;  // trainer did not record this unit
-  metrics().gradient_age.observe(
+  metrics_.gradient_age.observe(
       static_cast<double>(commits_ - it->second.back()));
   // Dropping every replica's pin here is safe because the grid server
   // retires the unit on its first valid result (Scheduler::report_result)
@@ -331,7 +298,7 @@ void VcAsgdAssimilator::try_assimilate(
       // here would strand the workunit.
       trace_.record(engine_.now(), TraceKind::store_fault, ps_name,
                     env->unit.label() + " retry " + std::to_string(attempt));
-      metrics().outage_retries.inc();
+      metrics_.outage_retries.inc();
       const SimTime delay = store_retry_.delay(attempt, rng_);
       engine_.schedule(delay, [this, env, done, ps_index, attempt, gen] {
         if (server_.generation() != gen) return;
@@ -358,9 +325,9 @@ void VcAsgdAssimilator::try_assimilate(
         txn_lock_.release();
         return;
       }
-      metrics().read_s.observe(store_.latency().read_s * latency_factor);
-      metrics().write_s.observe(store_.latency().write_s * latency_factor);
-      metrics().alpha_mix_s.observe(store_.latency().update_s() *
+      metrics_.read_s.observe(store_.latency().read_s * latency_factor);
+      metrics_.write_s.observe(store_.latency().write_s * latency_factor);
+      metrics_.alpha_mix_s.observe(store_.latency().update_s() *
                                     latency_factor);
       engine_.schedule(
           store_.latency().update_s() * latency_factor,
@@ -417,9 +384,9 @@ void VcAsgdAssimilator::try_assimilate(
   // *after* the write, outside the race window, as in the paper's pipeline
   // ("after assimilating ... the parameter server computes the validation
   // accuracy").
-  metrics().read_s.observe(store_.latency().read_s * latency_factor);
-  metrics().write_s.observe(store_.latency().write_s * latency_factor);
-  metrics().alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
+  metrics_.read_s.observe(store_.latency().read_s * latency_factor);
+  metrics_.write_s.observe(store_.latency().write_s * latency_factor);
+  metrics_.alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
   engine_.schedule(
       store_.latency().read_s * latency_factor,
       [this, shared_env, done, alpha, gen, latency_factor] {

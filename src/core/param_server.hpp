@@ -28,6 +28,7 @@
 #include "grid/file_server.hpp"
 #include "grid/server.hpp"
 #include "nn/model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "sim/instance.hpp"
 #include "sim/resource.hpp"
@@ -64,7 +65,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   };
 
   /// Per-shard upload wire-codec accounting. Across all shards these sum to
-  /// the global wire_codec.* registry counters — the set-equality invariant
+  /// the assimilator's wire_codec.* registry counters — the set-equality invariant
   /// tests/test_shard_plane.cpp holds at every shard count.
   struct ShardWireStats {
     std::uint64_t frames_decoded = 0;
@@ -122,9 +123,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// than mispairing with honest replicas). Malformed payloads never reach
   /// here (the grid server validates first).
   std::optional<std::vector<float>> peek_decode(const Blob& payload) const;
-
-  /// Blend-guard rejections so far (Options::blend_outlier_threshold).
-  std::uint64_t blend_rejections() const { return blend_rejections_; }
 
   /// Called by the trainer when a client *starts computing* `unit`: records
   /// the commit count its gradient will be based on. When the unit's result
@@ -205,7 +203,28 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   SimMutex txn_lock_;  // strong-store transaction serialization
   std::vector<float> published_;
   std::uint64_t commits_ = 0;
-  std::uint64_t blend_rejections_ = 0;
+  // Handles into the registry current at construction.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& updates = registry.counter("assimilator.updates_applied");
+    obs::Counter& outage_retries = registry.counter("store.outage_retries");
+    // Modeled (virtual-time) latencies — deterministic under simulation.
+    obs::Histogram& alpha_mix_s =
+        registry.histogram("assimilator.alpha_mix_s", {0.0, 10.0, 50});
+    obs::Histogram& gradient_age =
+        registry.histogram("assimilator.gradient_age", {0.0, 64.0, 64});
+    obs::Histogram& read_s = registry.histogram("store.read_s", {0.0, 5.0, 50});
+    obs::Histogram& write_s =
+        registry.histogram("store.write_s", {0.0, 5.0, 50});
+    obs::Gauge& staleness = registry.gauge("store.staleness_at_read");
+    // Wire-codec upload decoding (common/wire_codec.hpp).
+    obs::Counter& frames_decoded =
+        registry.counter("wire_codec.frames_decoded");
+    obs::Counter& base_misses = registry.counter("wire_codec.base_misses");
+    obs::Counter& frames_dropped =
+        registry.counter("wire_codec.frames_dropped");
+  };
+  Metrics metrics_{obs::registry()};
   // unit → commit counts its replicas started from, newest last. A unit can
   // run as several replicas (redundancy, timeout reissue), each trained from
   // whatever commit was current when *it* started; all of those bases stay

@@ -39,10 +39,11 @@ VcTrainer::VcTrainer(ExperimentSpec spec) : spec_(std::move(spec)) {
 TrainResult VcTrainer::run() {
   trace_.clear();
   trace_.set_enabled(spec_.trace);
-  // The run owns the global metrics registry for its duration: values are
-  // zeroed at entry so the final snapshot covers exactly this run, making
-  // same-seed snapshots byte-identical (the deterministic-telemetry oracle).
-  obs::registry().reset_values();
+  // The run owns its metrics registry; every component below and every pool
+  // chunk this thread dispatches records into it. Its snapshot covers exactly
+  // this run, so same-seed snapshots are byte-identical.
+  obs::Registry metrics;
+  const obs::ScopedRegistry metrics_scope(metrics);
   Rng master(spec_.seed);
 
   // --- Data, shards, model --------------------------------------------------
@@ -100,7 +101,7 @@ TrainResult VcTrainer::run() {
   // virtual clock for the rest of this run — wall time never leaks into the
   // snapshot, so telemetry replays with the simulation.
   obs::FunctionTimeSource sim_clock([&engine] { return engine.now(); });
-  obs::ScopedTimeSource time_guard(obs::registry(), sim_clock);
+  obs::ScopedTimeSource time_guard(metrics, sim_clock);
   auto store = make_store(spec_.store);
   const WireMode wire_mode = wire_mode_from_name(spec_.wire_codec);
   FileServer files;
@@ -408,7 +409,8 @@ TrainResult VcTrainer::run() {
           trace_.record(engine.now(), TraceKind::checkpoint_restored,
                         "checkpointer",
                         "replayed snapshot after crash #" +
-                            std::to_string(server.stats().crashes));
+                            std::to_string(
+                                metrics.counter("faults.server_crash").value()));
         }
         server.restore();
       });
@@ -435,46 +437,47 @@ TrainResult VcTrainer::run() {
   VCDL_CHECK(!running, "VcTrainer: simulation drained before job completion");
 
   // --- Totals -----------------------------------------------------------------
+  // Event counts come from the snapshot; the rest from the run's objects.
+  result.metrics = metrics.snapshot();
+  const auto count = [&snap = result.metrics](const char* name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
   CostLedger ledger;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     ledger.add_usage(fleet[i], job_end_time);
   }
-  result.totals.duration_s = job_end_time;
-  result.totals.cost_standard_usd = ledger.standard_cost_usd();
-  result.totals.cost_preemptible_usd = ledger.preemptible_cost_usd();
-  result.totals.timeouts = scheduler.stats().timeouts;
-  for (const auto& c : clients) {
-    result.totals.preemptions += c->stats().preemptions;
-    result.totals.transfer_failures += c->stats().transfer_failures;
-    result.totals.abandoned_subtasks += c->stats().abandoned;
-  }
-  result.totals.invalid_results = scheduler.stats().invalid_results;
-  result.totals.reissued_units = scheduler.stats().reissues;
-  result.totals.server_crashes = server.stats().crashes;
-  result.totals.checkpoint_restores = checkpointer.stats().restores;
-  result.totals.lost_updates = store->stats().lost_updates;
-  result.totals.store_reads = store->stats().reads;
-  result.totals.store_writes = store->stats().writes;
-  result.totals.cache_hits = files.stats().cache_hits;
-  result.totals.bytes_wire = files.stats().bytes_wire;
-  for (const auto& c : clients) {
-    result.totals.bytes_uploaded += c->stats().bytes_uploaded;
-  }
-  result.totals.param_bytes_wire = files.stats().bytes_delta_wire;
-  result.totals.param_bytes_full = files.stats().bytes_delta_full;
-  result.totals.delta_pulls = files.stats().delta_pulls;
-  result.totals.duplicates = server.stats().duplicates;
-  if (adversary != nullptr) {
-    result.totals.byzantine_attacks = adversary->stats().attacks;
-  }
-  result.totals.consensus_quorums = server.stats().consensus_quorums;
-  result.totals.consensus_fallbacks = server.stats().consensus_fallbacks;
-  result.totals.results_outvoted = server.stats().results_outvoted;
-  result.totals.blend_rejections = assimilator.blend_rejections();
-  result.totals.spot_checks = scheduler.stats().spot_checks;
-  result.totals.parameter_count = template_model.parameter_count();
+  RunTotals& t = result.totals;
+  t.duration_s = job_end_time;
+  t.cost_standard_usd = ledger.standard_cost_usd();
+  t.cost_preemptible_usd = ledger.preemptible_cost_usd();
+  t.timeouts = count("scheduler.failure.timeout");
+  t.preemptions = count("client.preemptions");
+  t.lost_updates = count("store.lost_updates");
+  t.store_reads = count("store.reads");
+  t.store_writes = count("store.writes");
+  t.cache_hits = count("file_server.cache_hits");
+  t.bytes_wire = count("file_server.bytes_wire");
+  t.bytes_uploaded = count("client.bytes_uploaded");
+  t.param_bytes_wire = files.stats().bytes_delta_wire;
+  t.param_bytes_full = files.stats().bytes_delta_full;
+  t.delta_pulls = count("file_server.delta_pulls");
+  t.duplicates = count("server.results_duplicate");
+  t.parameter_count = template_model.parameter_count();
+  t.transfer_failures =
+      count("client.transfer_retries") + count("client.transfer_abandoned");
+  t.abandoned_subtasks = count("client.transfer_abandoned");
+  t.invalid_results = count("scheduler.failure.invalid_result");
+  t.server_crashes = count("faults.server_crash");
+  t.checkpoint_restores = checkpointer.stats().restores;
+  t.reissued_units = count("scheduler.failure.reissue_lost");
+  t.byzantine_attacks = count("faults.byzantine_result");
+  t.consensus_quorums = count("consensus.quorum_promoted");
+  t.consensus_fallbacks = count("consensus.fallback_promoted");
+  t.results_outvoted = count("consensus.results_outvoted");
+  t.blend_rejections = count("consensus.blend_rejected");
+  t.spot_checks = count("consensus.spot_checks");
   result.final_params = assimilator.published_params();
-  result.metrics = obs::registry().snapshot();
   return result;
 }
 

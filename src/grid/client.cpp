@@ -6,38 +6,9 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
-namespace {
-struct ClientMetrics {
-  obs::Counter& bytes_downloaded =
-      obs::registry().counter("client.bytes_downloaded");
-  obs::Counter& bytes_uploaded =
-      obs::registry().counter("client.bytes_uploaded");
-  obs::Counter& completed = obs::registry().counter("client.completed");
-  obs::Counter& retries = obs::registry().counter("client.transfer_retries");
-  obs::Counter& abandoned =
-      obs::registry().counter("client.transfer_abandoned");
-  obs::Counter& preemptions = obs::registry().counter("client.preemptions");
-  obs::Counter& offline = obs::registry().counter("client.offline_events");
-  // Transfer latencies are modeled times (network model × stall factor), so
-  // the histograms are deterministic under simulation.
-  obs::Histogram& download_s =
-      obs::registry().histogram("client.download_s", {0.0, 120.0, 60});
-  obs::Histogram& upload_s =
-      obs::registry().histogram("client.upload_s", {0.0, 120.0, 60});
-  obs::Histogram& exec_s =
-      obs::registry().histogram("client.subtask_exec_s", {0.0, 600.0, 60});
-};
-
-ClientMetrics& metrics() {
-  static ClientMetrics m;
-  return m;
-}
-}  // namespace
-
 SimClient::SimClient(ClientId id, InstanceType instance, ClientConfig config,
                      SimEngine& engine, const NetworkModel& network,
                      InstanceType server_instance, FileServer& files,
@@ -138,8 +109,7 @@ SimTime SimClient::download_time(const Workunit& unit) {
       slowest = std::max(slowest, t);
     }
     ++stats_.downloads;
-    stats_.bytes_downloaded += bytes;
-    metrics().bytes_downloaded.inc(bytes);
+    metrics_.bytes_downloaded.inc(bytes);
     if (ref.sticky) {
       cache_[ref.name] = current;
       scheduler_.note_cached(id_, ref.name);
@@ -166,7 +136,7 @@ void SimClient::attempt_download(const Workunit& unit, std::size_t attempt) {
     return;
   }
   const SimTime dl = download_time(unit) * fault.time_factor;
-  metrics().download_s.observe(dl);
+  metrics_.download_s.observe(dl);
   trace_.record(engine_.now(), TraceKind::download, name(), unit.label());
   const EventId id = engine_.schedule(dl, [this, unit] { exec_unit(unit); });
   track(id);
@@ -184,7 +154,7 @@ void SimClient::exec_unit(const Workunit& unit) {
     exec_s *= rng_.lognormal(0.0, config_.compute.exec_jitter_sigma);
   }
   stats_.busy_s += exec_s;
-  metrics().exec_s.observe(exec_s);
+  metrics_.exec_s.observe(exec_s);
   auto payload = std::make_shared<Blob>(std::move(outcome.payload));
   const EventId id = engine_.schedule(exec_s, [this, unit, payload] {
     finish_unit(unit, std::move(*payload));
@@ -216,7 +186,7 @@ void SimClient::attempt_upload(const Workunit& unit,
   const SimTime up = network_.transfer_time(payload->size(), instance_,
                                             server_instance_, rng_) *
                      fault.time_factor;
-  metrics().upload_s.observe(up);
+  metrics_.upload_s.observe(up);
   const EventId id =
       engine_.schedule(up, [this, unit, payload, attempt] {
         if (!server_.is_up()) {
@@ -226,12 +196,10 @@ void SimClient::attempt_upload(const Workunit& unit,
           return;
         }
         trace_.record(engine_.now(), TraceKind::upload, name(), unit.label());
-        stats_.bytes_uploaded += payload->size();
-        metrics().bytes_uploaded.inc(payload->size());
+        metrics_.bytes_uploaded.inc(payload->size());
         VCDL_CHECK(active_ > 0, "SimClient: completion without active subtask");
         --active_;
-        ++stats_.completed;
-        metrics().completed.inc();
+        metrics_.completed.inc();
         server_.submit_result(id_, unit, std::move(*payload));
         schedule_poll(0.0);  // a slot just freed up
       });
@@ -249,8 +217,7 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
   if (attempt + 1 >= config_.retry.max_attempts) {
     // Fast-fail: give the replica back now rather than letting the deadline
     // discover the loss minutes later.
-    ++stats_.abandoned;
-    metrics().abandoned.inc();
+    metrics_.abandoned.inc();
     trace_.record(engine_.now(), TraceKind::subtask_abandoned, name(),
                   unit.label());
     scheduler_.report_failure(id_, unit.id, engine_.now());
@@ -259,8 +226,7 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
     schedule_poll(config_.poll_interval_s);
     return;
   }
-  ++stats_.retries;
-  metrics().retries.inc();
+  metrics_.retries.inc();
   const SimTime delay = config_.retry.delay(attempt, rng_);
   const EventId id = engine_.schedule(delay, [this, unit, stage, payload,
                                               attempt] {
@@ -283,8 +249,7 @@ void SimClient::arm_preemption() {
 void SimClient::preempt() {
   if (stopped_ || !up_) return;
   up_ = false;
-  ++stats_.preemptions;
-  metrics().preemptions.inc();
+  metrics_.preemptions.inc();
   stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 std::to_string(active_) + " subtasks lost");
@@ -323,8 +288,7 @@ void SimClient::arm_availability() {
 void SimClient::go_offline() {
   if (stopped_ || !up_) return;
   up_ = false;
-  ++stats_.offline_events;
-  metrics().offline.inc();
+  metrics_.offline.inc();
   stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 "volunteer offline, " + std::to_string(active_) +

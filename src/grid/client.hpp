@@ -26,6 +26,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "obs/metrics.hpp"
 #include "sim/availability.hpp"
 #include "sim/faults.hpp"
 #include "sim/instance.hpp"
@@ -70,19 +71,14 @@ struct ClientConfig {
 
 class SimClient {
  public:
+  /// Per-client counts no metric records; the rest are fleet-wide "client.*"
+  /// counters.
   struct Stats {
-    std::uint64_t completed = 0;
-    std::uint64_t preemptions = 0;
-    std::uint64_t offline_events = 0;  // volunteer availability churn
     std::uint64_t lost_inflight = 0;  // subtasks killed by preemption
     std::uint64_t cache_hits = 0;
     SimTime busy_s = 0.0;             // summed virtual execution time
     std::uint64_t downloads = 0;
-    std::uint64_t bytes_downloaded = 0;
-    std::uint64_t bytes_uploaded = 0;
     std::uint64_t transfer_failures = 0;  // dropped download/upload attempts
-    std::uint64_t retries = 0;            // backoff retries scheduled
-    std::uint64_t abandoned = 0;          // fast-fail give-ups after max tries
   };
 
   SimClient(ClientId id, InstanceType instance, ClientConfig config,
@@ -163,6 +159,27 @@ class SimClient {
   // Whole EventId handles keyed by seq (cancel() needs the slot half too);
   // cancellable on preemption.
   std::map<std::uint64_t, EventId> pending_events_;
+  // Handles into the registry current at construction.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& bytes_downloaded =
+        registry.counter("client.bytes_downloaded");
+    obs::Counter& bytes_uploaded = registry.counter("client.bytes_uploaded");
+    obs::Counter& completed = registry.counter("client.completed");
+    obs::Counter& retries = registry.counter("client.transfer_retries");
+    obs::Counter& abandoned = registry.counter("client.transfer_abandoned");
+    obs::Counter& preemptions = registry.counter("client.preemptions");
+    obs::Counter& offline = registry.counter("client.offline_events");
+    // Transfer latencies are modeled times (network model × stall factor),
+    // so the histograms are deterministic under simulation.
+    obs::Histogram& download_s =
+        registry.histogram("client.download_s", {0.0, 120.0, 60});
+    obs::Histogram& upload_s =
+        registry.histogram("client.upload_s", {0.0, 120.0, 60});
+    obs::Histogram& exec_s =
+        registry.histogram("client.subtask_exec_s", {0.0, 600.0, 60});
+  };
+  Metrics metrics_{obs::registry()};
   Stats stats_;
 };
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
@@ -53,14 +54,6 @@ class ConsensusBuffer {
     /// Virtual seconds the caller should wait after the first held replica
     /// before flushing the unit (quorum unreachable by deadline).
     SimTime fallback_s = 300.0;
-  };
-
-  struct Stats {
-    std::uint64_t replicas_held = 0;
-    std::uint64_t quorum_promoted = 0;    // units promoted by an m-match
-    std::uint64_t fallback_promoted = 0;  // plurality promotions (no quorum)
-    std::uint64_t results_outvoted = 0;   // replicas in losing classes
-    std::uint64_t replicas_flushed = 0;   // replicas dropped by drain()
   };
 
   enum class Outcome : std::uint8_t {
@@ -103,7 +96,6 @@ class ConsensusBuffer {
   std::vector<std::pair<WorkunitId, std::vector<ClientId>>> drain();
 
   const Config& config() const { return config_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Replica {
@@ -134,7 +126,19 @@ class ConsensusBuffer {
   ConsensusDecoder decoder_;
   std::map<WorkunitId, HeldUnit> units_;
   std::uint64_t arrival_counter_ = 0;
-  Stats stats_;
+  // Handles into the registry current at construction. Registration is
+  // config-driven, not event-driven: consensus-off runs build no buffer and
+  // never register these, keeping their snapshots byte-identical to
+  // pre-consensus builds (a snapshot exports zero-valued counters too).
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& held = registry.counter("consensus.replicas_held");
+    obs::Counter& quorum = registry.counter("consensus.quorum_promoted");
+    obs::Counter& fallback = registry.counter("consensus.fallback_promoted");
+    obs::Counter& outvoted = registry.counter("consensus.results_outvoted");
+    obs::Counter& flushed = registry.counter("consensus.replicas_flushed");
+  };
+  Metrics metrics_{obs::registry()};
 };
 
 /// Last-line defense for outliers that survive (or bypass) consensus: true

@@ -2,28 +2,8 @@
 
 #include "common/compress.hpp"
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace vcdl {
-namespace {
-struct FileServerMetrics {
-  obs::Counter& publishes = obs::registry().counter("file_server.publishes");
-  obs::Counter& fetches = obs::registry().counter("file_server.fetches");
-  obs::Counter& bytes_raw = obs::registry().counter("file_server.bytes_raw");
-  obs::Counter& bytes_wire = obs::registry().counter("file_server.bytes_wire");
-  obs::Counter& cache_hits = obs::registry().counter("file_server.cache_hits");
-  obs::Counter& delta_pulls =
-      obs::registry().counter("file_server.delta_pulls");
-  obs::Counter& delta_fallbacks =
-      obs::registry().counter("file_server.delta_fallbacks");
-};
-
-FileServerMetrics& metrics() {
-  static FileServerMetrics m;
-  return m;
-}
-}  // namespace
-
 void FileServer::set_wire_codec(WireMode mode, std::size_t version_ring) {
   mode_ = mode;
   version_ring_ = version_ring > 0 ? version_ring : 1;
@@ -45,8 +25,7 @@ void FileServer::publish(const std::string& name, Blob payload,
     // bases; drop the oldest beyond that.
     while (e.ring.size() > version_ring_) e.ring.erase(e.ring.begin());
   }
-  ++stats_.publishes;
-  metrics().publishes.inc();
+  metrics_.publishes.inc();
 }
 
 bool FileServer::has(const std::string& name) const {
@@ -74,18 +53,14 @@ std::size_t FileServer::wire_size(const std::string& name) const {
 }
 
 void FileServer::record_cache_hit() {
-  ++stats_.cache_hits;
-  metrics().cache_hits.inc();
+  metrics_.cache_hits.inc();
 }
 
 std::shared_ptr<const Blob> FileServer::fetch(const std::string& name) {
   const Entry& e = entry(name);
-  ++stats_.fetches;
-  stats_.bytes_raw += e.payload->size();
-  stats_.bytes_wire += e.wire_size;
-  metrics().fetches.inc();
-  metrics().bytes_raw.inc(e.payload->size());
-  metrics().bytes_wire.inc(e.wire_size);
+  metrics_.fetches.inc();
+  metrics_.bytes_raw.inc(e.payload->size());
+  metrics_.bytes_wire.inc(e.wire_size);
   return e.payload;
 }
 
@@ -120,23 +95,18 @@ FileServer::PullReceipt FileServer::pull(const std::string& name,
       }
     }
     if (receipt.was_delta) {
-      ++stats_.delta_pulls;
       ++e.wire_stats.delta_pulls;
-      metrics().delta_pulls.inc();
+      metrics_.delta_pulls.inc();
     } else {
       // Base aged out of the ring, or the delta did not beat the full blob.
-      ++stats_.delta_fallbacks;
       ++e.wire_stats.delta_fallbacks;
-      metrics().delta_fallbacks.inc();
+      metrics_.delta_fallbacks.inc();
     }
   }
 
-  ++stats_.fetches;
-  stats_.bytes_raw += e.payload->size();
-  stats_.bytes_wire += receipt.wire_bytes;
-  metrics().fetches.inc();
-  metrics().bytes_raw.inc(e.payload->size());
-  metrics().bytes_wire.inc(receipt.wire_bytes);
+  metrics_.fetches.inc();
+  metrics_.bytes_raw.inc(e.payload->size());
+  metrics_.bytes_wire.inc(receipt.wire_bytes);
   if (e.delta_capable) {
     stats_.bytes_delta_wire += receipt.wire_bytes;
     stats_.bytes_delta_full += e.wire_size;

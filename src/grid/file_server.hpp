@@ -26,21 +26,16 @@
 
 #include "common/blob.hpp"
 #include "common/wire_codec.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
 class FileServer {
  public:
+  /// Delta-capable files only: billed bytes vs what full blobs would have
+  /// cost for the same pulls — the codec's measured download win. The other
+  /// counts are "file_server.*" counters.
   struct Stats {
-    std::uint64_t publishes = 0;
-    std::uint64_t fetches = 0;
-    std::uint64_t bytes_raw = 0;    // payload bytes served (uncompressed)
-    std::uint64_t bytes_wire = 0;   // bytes actually transferred
-    std::uint64_t cache_hits = 0;   // downloads avoided by client caches
-    std::uint64_t delta_pulls = 0;      // pulls served as version deltas
-    std::uint64_t delta_fallbacks = 0;  // delta-capable pulls served full
-    // Delta-capable files only: billed bytes vs what full blobs would have
-    // cost for the same pulls — the codec's measured download win.
     std::uint64_t bytes_delta_wire = 0;
     std::uint64_t bytes_delta_full = 0;
   };
@@ -84,7 +79,8 @@ class FileServer {
 
   /// Per-file slice of the delta-protocol counters (zeroes for files never
   /// pulled under the delta protocol). Summed over every file these equal
-  /// the global Stats fields — the per-shard wire-accounting invariant the
+  /// the server-wide totals ("file_server.delta_pulls"/"delta_fallbacks" and
+  /// the Stats bytes) — the per-shard wire-accounting invariant the
   /// sharded parameter plane is tested against (tests/test_shard_plane.cpp).
   struct FileWireStats {
     std::uint64_t delta_pulls = 0;
@@ -116,6 +112,20 @@ class FileServer {
   std::size_t delta_wire_size(Entry& e, std::uint64_t have_version);
 
   std::map<std::string, Entry> files_;
+  // Handles into the registry current at construction.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& publishes = registry.counter("file_server.publishes");
+    obs::Counter& fetches = registry.counter("file_server.fetches");
+    // Payload bytes served (uncompressed) and bytes actually transferred.
+    obs::Counter& bytes_raw = registry.counter("file_server.bytes_raw");
+    obs::Counter& bytes_wire = registry.counter("file_server.bytes_wire");
+    obs::Counter& cache_hits = registry.counter("file_server.cache_hits");
+    obs::Counter& delta_pulls = registry.counter("file_server.delta_pulls");
+    obs::Counter& delta_fallbacks =
+        registry.counter("file_server.delta_fallbacks");
+  };
+  Metrics metrics_{obs::registry()};
   Stats stats_;
   WireMode mode_ = WireMode::full;
   std::size_t version_ring_ = 8;

@@ -7,7 +7,6 @@
 #include "common/dary_heap.hpp"
 #include "common/error.hpp"
 #include "grid/test_hooks.hpp"
-#include "obs/metrics.hpp"
 
 namespace vcdl {
 namespace {
@@ -16,36 +15,6 @@ constexpr double kReliabilityEma = 0.2;  // weight of the newest outcome
 // Below this many deadline-heap entries a stale-majority rebuild is not
 // worth it; the threshold only exists to bound big fleets.
 constexpr std::size_t kDeadlineCompactFloor = 64;
-
-// Cached handles into the global registry — registration is mutex-guarded,
-// so resolve each name once and record through stable references after that.
-struct SchedulerMetrics {
-  obs::Counter& dispatched = obs::registry().counter("scheduler.dispatched");
-  obs::Counter& results = obs::registry().counter("scheduler.results");
-  obs::Counter& timeout = obs::registry().counter("scheduler.failure.timeout");
-  obs::Counter& fast_fail =
-      obs::registry().counter("scheduler.failure.fast_fail");
-  obs::Counter& invalid =
-      obs::registry().counter("scheduler.failure.invalid_result");
-  obs::Counter& reissue =
-      obs::registry().counter("scheduler.failure.reissue_lost");
-  obs::Gauge& queue_depth = obs::registry().gauge("scheduler.queue_depth");
-  obs::Gauge& inflight = obs::registry().gauge("scheduler.inflight");
-};
-
-SchedulerMetrics& metrics() {
-  static SchedulerMetrics m;
-  return m;
-}
-
-// Outside SchedulerMetrics on purpose: that struct registers as a bundle on
-// any scheduler activity, but this path only exists under consensus — and a
-// registered-but-zero counter would change default runs' snapshot bytes.
-obs::Counter& replica_lost_counter() {
-  static obs::Counter& c =
-      obs::registry().counter("scheduler.failure.replica_lost");
-  return c;
-}
 
 // Min-heap comparator on (deadline, issue seq): earliest deadline first,
 // issue order within a tick. seq uniqueness makes it a strict total order,
@@ -121,8 +90,8 @@ void Scheduler::enable_adaptive_replication(const AdaptiveReplication& config,
   adaptive_rng_ = rng;
   // Registration is config-driven: both counters exist from the moment the
   // feature is on, so same-seed snapshots don't depend on which draws fired.
-  spot_check_counter_ = &obs::registry().counter("consensus.spot_checks");
-  solo_grant_counter_ = &obs::registry().counter("consensus.solo_grants");
+  spot_check_counter_ = &metrics_.registry.counter("consensus.spot_checks");
+  solo_grant_counter_ = &metrics_.registry.counter("consensus.solo_grants");
 }
 
 void Scheduler::add_unit(const Workunit& unit) {
@@ -156,13 +125,11 @@ void Scheduler::grant_unit(ClientId client, ClientState& state, PendingUnit& p,
                          adaptive_rng_.bernoulli(adaptive_.spot_check_prob);
     if (trusted && !audited) {
       p.replication_total = 1;
-      ++stats_.solo_grants;
       solo_grant_counter_->inc();
     } else {
       p.replication_total =
           std::max(p.unit.replication, adaptive_.untrusted_replication);
       if (audited) {
-        ++stats_.spot_checks;
         spot_check_counter_->inc();
       }
     }
@@ -181,8 +148,7 @@ void Scheduler::grant_unit(ClientId client, ClientState& state, PendingUnit& p,
   dary_push<kDeadlineArity>(
       deadline_heap_, DeadlineEntry{deadline, seq, slot, p.unit.id, client},
       DeadlineAfter{});
-  ++stats_.assignments;
-  metrics().dispatched.inc();
+  metrics_.dispatched.inc();
   out.push_back(p.unit);
   if (p.replicas_left == 0) remove_ready(p);
 }
@@ -321,12 +287,11 @@ bool Scheduler::report_result(ClientId client, WorkunitId unit, SimTime now) {
   }
   uit->second.done = true;
   --outstanding_;
-  ++stats_.results;
   // Any queued replicas are no longer needed; the unit leaves the ready
   // queue (and the sticky index) with it.
   uit->second.replicas_left = 0;
   remove_ready(uit->second);
-  metrics().results.inc();
+  metrics_.results.inc();
   update_gauges();
   return true;
 }
@@ -347,8 +312,7 @@ void Scheduler::report_failure(ClientId client, WorkunitId unit, SimTime now) {
   ClientState* c = clients_.find(client);
   VCDL_CHECK(c != nullptr, "Scheduler: failure from unknown client");
   bump_availability(*c, false);
-  ++stats_.failures;
-  metrics().fast_fail.inc();
+  metrics_.fast_fail.inc();
   release_assignment(client, unit);
   update_gauges();
 }
@@ -361,8 +325,7 @@ void Scheduler::report_invalid(ClientId client, WorkunitId unit, SimTime now) {
   ClientState* c = clients_.find(client);
   VCDL_CHECK(c != nullptr, "Scheduler: invalid result from unknown client");
   bump_integrity(*c, false);
-  ++stats_.invalid_results;
-  metrics().invalid.inc();
+  metrics_.invalid.inc();
   release_assignment(client, unit);
   update_gauges();
 }
@@ -381,8 +344,14 @@ void Scheduler::report_replica(ClientId client, WorkunitId unit) {
 
 void Scheduler::reissue_replica(WorkunitId unit, ClientId client) {
   auto& p = units_.at(unit);
-  ++stats_.lost_replicas;
-  replica_lost_counter().inc();
+  // Registered on first use, not with the bundle: this path only exists
+  // under consensus, and a registered-but-zero counter would change default
+  // runs' snapshot bytes.
+  if (replica_lost_counter_ == nullptr) {
+    replica_lost_counter_ =
+        &metrics_.registry.counter("scheduler.failure.replica_lost");
+  }
+  replica_lost_counter_->inc();
   if (p.done) return;  // promoted before the crash; nothing to replace
   drop_hold(p.issued_to, client);
   ++p.replicas_left;
@@ -407,8 +376,7 @@ void Scheduler::reissue_lost(WorkunitId unit) {
   if (!p.done) return;  // still pending; deadline recovery will handle it
   p.done = false;
   ++outstanding_;
-  ++stats_.reissues;
-  metrics().reissue.inc();
+  metrics_.reissue.inc();
   // Keep replica holds only for assignments still actively in flight. The
   // producer's hold (its assignment was erased when its result arrived) is
   // stale and would wrongly bar it from re-running the unit — fatal when it
@@ -491,8 +459,7 @@ std::vector<WorkunitId> Scheduler::expire_deadlines(SimTime now) {
   for (const DeadlineEntry& e : due) {
     auto& p = units_.at(e.unit);
     bump_availability(*clients_.find(e.client), false);  // live ⇒ registered
-    ++stats_.timeouts;
-    metrics().timeout.inc();
+    metrics_.timeout.inc();
     if (!p.done) {
       // Reissue. The missed client becomes eligible again too — after a
       // preemption it may be the only machine left.
@@ -650,8 +617,8 @@ void Scheduler::check_invariants() const {
 }
 
 void Scheduler::update_gauges() const {
-  metrics().queue_depth.set(static_cast<double>(ready_count()));
-  metrics().inflight.set(static_cast<double>(inflight_count_));
+  metrics_.queue_depth.set(static_cast<double>(ready_count()));
+  metrics_.inflight.set(static_cast<double>(inflight_count_));
 }
 
 void Scheduler::bump_availability(ClientState& c, bool success) {

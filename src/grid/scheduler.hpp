@@ -35,29 +35,18 @@
 
 #include "common/rng.hpp"
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 class Scheduler {
  public:
+  /// Counts no metric records; the rest are "scheduler.*" counters.
   struct Stats {
     std::uint64_t generated = 0;
-    std::uint64_t assignments = 0;
-    std::uint64_t results = 0;
     std::uint64_t duplicate_results = 0;  // replication extras / late arrivals
-    std::uint64_t timeouts = 0;
     std::uint64_t affinity_hits = 0;  // assignment matched a cached sticky file
-    std::uint64_t failures = 0;       // client fast-fail abandonments
-    std::uint64_t invalid_results = 0;  // validator/consensus rejections
-    std::uint64_t reissues = 0;       // retired units un-retired after a crash
     std::uint64_t held_replicas = 0;  // uploads parked in a consensus buffer
-    std::uint64_t lost_replicas = 0;  // held replicas requeued after a crash
-    std::uint64_t spot_checks = 0;    // trusted clients audited anyway
-    std::uint64_t solo_grants = 0;    // units issued unreplicated on trust
   };
 
   /// BOINC-style adaptive replication (enable_adaptive_replication): a unit
@@ -399,10 +388,25 @@ class Scheduler {
   bool adaptive_enabled_ = false;
   AdaptiveReplication adaptive_;
   Rng adaptive_rng_;                    // spot-check draws
+  // Handles into the registry current at construction.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& dispatched = registry.counter("scheduler.dispatched");
+    obs::Counter& results = registry.counter("scheduler.results");
+    obs::Counter& timeout = registry.counter("scheduler.failure.timeout");
+    obs::Counter& fast_fail = registry.counter("scheduler.failure.fast_fail");
+    obs::Counter& invalid =
+        registry.counter("scheduler.failure.invalid_result");
+    obs::Counter& reissue = registry.counter("scheduler.failure.reissue_lost");
+    obs::Gauge& queue_depth = registry.gauge("scheduler.queue_depth");
+    obs::Gauge& inflight = registry.gauge("scheduler.inflight");
+  };
+  Metrics metrics_{obs::registry()};
   // Resolved at enable_adaptive_replication — "consensus.spot_checks" /
   // "consensus.solo_grants" must not register on runs without the feature.
   obs::Counter* spot_check_counter_ = nullptr;
   obs::Counter* solo_grant_counter_ = nullptr;
+  obs::Counter* replica_lost_counter_ = nullptr;  // first reissue_replica
   Stats stats_;
 };
 

@@ -30,12 +30,10 @@
 #include "grid/consensus.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
 namespace vcdl {
-namespace obs {
-struct MetricsSnapshot;
-}  // namespace obs
 
 class SimEngine;
 
@@ -58,19 +56,11 @@ class AssimilatorBackend {
 
 class GridServer {
  public:
+  /// Counts no metric records; the rest are "server.*" counters (consensus
+  /// outcomes: the ConsensusBuffer's "consensus.*").
   struct Stats {
-    std::uint64_t received = 0;
-    std::uint64_t invalid = 0;
-    std::uint64_t duplicates = 0;
     std::uint64_t assimilated = 0;
-    std::uint64_t rejected_down = 0;   // uploads refused while crashed
-    std::uint64_t crashes = 0;
-    std::uint64_t lost_results = 0;    // accepted results dropped by a crash
     std::uint64_t retired_skips = 0;   // late extras early-outed pre-validator
-    // Consensus accounting (zero when the quorum buffer is off).
-    std::uint64_t consensus_quorums = 0;    // m-of-k promotions
-    std::uint64_t consensus_fallbacks = 0;  // plurality promotions
-    std::uint64_t results_outvoted = 0;     // replicas reported invalid
   };
 
   GridServer(SimEngine& engine, Scheduler& scheduler, TraceLog& trace,
@@ -115,7 +105,7 @@ class GridServer {
   std::size_t parameter_servers() const { return ps_.size(); }
   std::size_t queued_results() const;
 
-  /// Receives a periodic snapshot of the global metrics registry.
+  /// Receives a periodic snapshot of the server's metrics registry.
   using SnapshotSink =
       std::function<void(SimTime, const obs::MetricsSnapshot&)>;
 
@@ -159,6 +149,21 @@ class GridServer {
   std::uint64_t generation_ = 0;
   SimTime snapshot_period_s_ = 0.0;  // 0 = hook disabled
   SnapshotSink snapshot_sink_;
+  // Handles into the registry current at construction.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& received = registry.counter("server.results_received");
+    obs::Counter& invalid = registry.counter("server.results_invalid");
+    obs::Counter& duplicates = registry.counter("server.results_duplicate");
+    obs::Counter& rejected_down = registry.counter("server.rejected_down");
+    obs::Counter& lost_results = registry.counter("server.lost_results");
+    // "server_crash" is a fault kind (fault_kind_names()), injected here
+    // rather than in FaultInjector because crashes are scheduled at absolute
+    // times.
+    obs::Counter& crash = registry.counter("faults.server_crash");
+    obs::Gauge& queue_depth = registry.gauge("server.queue_depth");
+  };
+  Metrics metrics_{obs::registry()};
   Stats stats_;
 };
 

@@ -12,10 +12,14 @@ namespace {
 
 // One sample per im2col/col2im expansion; concurrent observes from pool
 // workers are safe (relaxed atomics). Zero-duration under simulation.
+struct Im2colMetrics {
+  obs::Registry& registry;
+  obs::Histogram& im2col_s =
+      registry.histogram("exec.im2col_s", {0.0, 0.02, 40});
+};
+
 obs::Histogram& im2col_metric() {
-  static obs::Histogram& h =
-      obs::registry().histogram("exec.im2col_s", {0.0, 0.02, 40});
-  return h;
+  return obs::current_handles<Im2colMetrics>().im2col_s;
 }
 
 // Half-open range of output columns whose stride-1 input column ix = ox + kx

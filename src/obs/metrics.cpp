@@ -102,7 +102,13 @@ FunctionTimeSource::FunctionTimeSource(std::function<double()> fn)
   VCDL_CHECK(fn_ != nullptr, "FunctionTimeSource: null clock");
 }
 
-Registry::Registry() : time_(&wall_) {}
+namespace {
+std::atomic<std::uint64_t> next_registry_id{1};
+}  // namespace
+
+Registry::Registry()
+    : time_(&wall_),
+      id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -200,8 +206,9 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 Registry& registry() {
-  static Registry instance;
-  return instance;
+  if (Registry* current = detail::t_current_registry) return *current;
+  static Registry process_default;
+  return process_default;
 }
 
 }  // namespace vcdl::obs

@@ -4,9 +4,15 @@
 // transfer vs. compute, staleness vs. accuracy, preemption delay vs. price —
 // and BOINC ships server-side telemetry as a first-class subsystem. This
 // registry is VCDL's equivalent: every component records into named
-// monotonic counters, gauges, and fixed-bucket histograms owned by one
-// process-global registry, and a snapshot of the whole registry exports to
-// JSON/CSV (obs/snapshot.hpp).
+// monotonic counters, gauges, and fixed-bucket histograms, and a snapshot of
+// the whole registry exports to JSON/CSV (obs/snapshot.hpp).
+//
+// Ownership: a simulation run owns its registry. VcTrainer::run() constructs
+// one and installs it as the *current* registry (ScopedRegistry) for its
+// thread; ThreadPool carries it into every chunk the run dispatches. Each
+// component resolves its handle bundle once, from the current registry at
+// construction, so a run's snapshot covers exactly that run whatever ran
+// before it or beside it. Outside a run, registry() is the process default.
 //
 // Design constraints, in priority order:
 //
@@ -36,8 +42,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/registry_slot.hpp"
 
 namespace vcdl::obs {
 
@@ -163,6 +172,10 @@ class Registry {
  public:
   Registry();
 
+  /// Unique for the life of the process: a registry built where a destroyed
+  /// one lived gets a fresh id, so handle caches key on this, not on `this`.
+  std::uint64_t id() const { return id_; }
+
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -185,8 +198,9 @@ class Registry {
   /// previous source. Prefer ScopedTimeSource.
   const TimeSource* set_time_source(const TimeSource* source);
 
-  /// Zeroes every value; registrations (and handles) survive. A simulation
-  /// run resets at entry so its snapshot covers exactly that run.
+  /// Zeroes every value; registrations (and handles) survive. For reusing
+  /// the process default across measurements (benches, replays); a run
+  /// gets a fresh registry instead.
   void reset_values();
 
   /// Consistent point-in-time copy of every metric.
@@ -199,11 +213,36 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   WallTimeSource wall_;
   std::atomic<const TimeSource*> time_;
+  std::uint64_t id_;
 };
 
-/// The process-global default registry every instrumentation site records
-/// into. Tests and simulation drivers reset_values() to scope measurements.
+/// The calling thread's current registry: the one a ScopedRegistry installed
+/// (a run's own, also inside the pool chunks that run dispatches), else the
+/// process default.
 Registry& registry();
+
+/// RAII guard making `registry` the calling thread's current registry for a
+/// scope; restores the previous one on destruction.
+class ScopedRegistry : detail::RegistrySlotGuard {
+ public:
+  explicit ScopedRegistry(Registry& registry) : RegistrySlotGuard(&registry) {}
+};
+
+/// Handles for code with no component instance to own them (free functions,
+/// layers shared across runs). `Bundle` is an aggregate whose first member is
+/// `Registry& registry`; one per thread is cached and rebuilt when the current
+/// registry's id changes, so a sample costs an id compare, never a lookup.
+template <typename Bundle>
+Bundle& current_handles() {
+  thread_local std::uint64_t cached_id = 0;
+  thread_local std::optional<Bundle> bundle;
+  Registry& current = registry();
+  if (cached_id != current.id()) {
+    bundle.emplace(Bundle{current});
+    cached_id = current.id();
+  }
+  return *bundle;
+}
 
 /// RAII guard installing a time source on a registry for a scope (a
 /// simulation run); restores the previous source on destruction.

@@ -2,18 +2,22 @@
 //
 // A SpanTimer reads Registry::now() at construction and records the elapsed
 // time into a duration histogram at destruction. Under a simulation run the
-// registry carries the engine's virtual clock (ScopedTimeSource installed by
-// VcTrainer::run()), so spans around *real* compute inside a DES event —
-// GEMM kernels, im2col, validation forwards — record zero-duration samples
-// deterministically: the span *counts* stay exact and replayable while the
-// durations defer to the DES's own latency models. Outside a simulation
-// (benches, production paths) spans record wall time.
+// current registry is the run's own and carries the engine's virtual clock
+// (both installed by VcTrainer::run()), so spans around *real* compute inside
+// a DES event — GEMM kernels, im2col, validation forwards — record
+// zero-duration samples deterministically: the span *counts* stay exact and
+// replayable while the durations defer to the DES's own latency models.
+// Outside a simulation (benches, production paths) spans record wall time.
 //
-// Usage — cache the histogram handle once, time each call:
+// Usage — a free function caches its handles per registry
+// (obs::current_handles), then times each call:
 //
-//   static obs::Histogram& h =
-//       obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-//   obs::SpanTimer span(h);
+//   struct ExecMetrics {
+//     obs::Registry& registry;
+//     obs::Histogram& gemm_s =
+//         registry.histogram("exec.gemm_s", {0.0, 0.05, 50});
+//   };
+//   obs::SpanTimer span(obs::current_handles<ExecMetrics>().gemm_s);
 #pragma once
 
 #include "obs/metrics.hpp"

@@ -4,28 +4,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace vcdl {
-namespace {
-// One counter per fault kind, kind names matching fault_kind_names(). The
-// coverage test asserts the "faults." counter set equals that list.
-struct FaultMetrics {
-  obs::Counter& transfer_drop = obs::registry().counter("faults.transfer_drop");
-  obs::Counter& transfer_stall =
-      obs::registry().counter("faults.transfer_stall");
-  obs::Counter& corruption = obs::registry().counter("faults.corruption");
-  obs::Counter& store_failure = obs::registry().counter("faults.store_failure");
-  obs::Counter& store_slowdown =
-      obs::registry().counter("faults.store_slowdown");
-};
-
-FaultMetrics& metrics() {
-  static FaultMetrics m;
-  return m;
-}
-}  // namespace
-
 const std::vector<std::string>& fault_kind_names() {
   static const std::vector<std::string> kinds = {
       "transfer_drop",  "transfer_stall", "corruption",      "store_failure",
@@ -61,13 +41,11 @@ FaultInjector::TransferOutcome FaultInjector::draw(const TransferFaults& model) 
   if (!model.any()) return out;
   if (model.drop_prob > 0.0 && rng_.bernoulli(model.drop_prob)) {
     out.dropped = true;
-    ++stats_.transfer_drops;
     metrics().transfer_drop.inc();
     return out;
   }
   if (model.stall_prob > 0.0 && rng_.bernoulli(model.stall_prob)) {
     out.time_factor = model.stall_factor;
-    ++stats_.transfer_stalls;
     metrics().transfer_stall.inc();
   }
   return out;
@@ -84,13 +62,11 @@ FaultInjector::TransferOutcome FaultInjector::on_transfer(FaultSite site) {
       if (!plan_.store.any()) return out;
       if (plan_.store.fail_prob > 0.0 && rng_.bernoulli(plan_.store.fail_prob)) {
         out.dropped = true;
-        ++stats_.store_failures;
         metrics().store_failure.inc();
         return out;
       }
       if (plan_.store.slow_prob > 0.0 && rng_.bernoulli(plan_.store.slow_prob)) {
         out.time_factor = plan_.store.slow_factor;
-        ++stats_.store_slowdowns;
         metrics().store_slowdown.inc();
       }
       return out;
@@ -103,10 +79,16 @@ bool FaultInjector::corrupt_result() {
   if (plan_.corruption_prob <= 0.0) return false;
   const bool hit = rng_.bernoulli(plan_.corruption_prob);
   if (hit) {
-    ++stats_.corruptions;
     metrics().corruption.inc();
   }
   return hit;
+}
+
+FaultInjector::Metrics& FaultInjector::metrics() {
+  // Registered as a bundle on the first injected fault, so runs whose plan
+  // never fires keep "faults.*" out of their snapshot.
+  if (!metrics_.has_value()) metrics_.emplace(Metrics{registry_});
+  return *metrics_;
 }
 
 void FaultInjector::corrupt(Blob& payload) {
@@ -139,16 +121,6 @@ AttackMode attack_mode_from_name(const std::string& name) {
   VCDL_CHECK(false, "unknown attack mode: " + name);
   return AttackMode::sign_flip;
 }
-
-namespace {
-// Registered only when an attack actually fires — default (adversary-free)
-// runs must export byte-identical metrics snapshots, and the registry
-// snapshot includes every registered counter, zero-valued or not.
-obs::Counter& byzantine_counter() {
-  static obs::Counter& c = obs::registry().counter("faults.byzantine_result");
-  return c;
-}
-}  // namespace
 
 AdversaryModel::AdversaryModel(AdversaryPlan plan, std::size_t fleet_size,
                                Rng rng)
@@ -210,8 +182,13 @@ bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
       break;
     }
   }
-  ++stats_.attacks;
-  byzantine_counter().inc();
+  // Registered only when an attack actually fires — adversary-free runs
+  // must export byte-identical metrics snapshots, and a snapshot includes
+  // every registered counter, zero-valued or not.
+  if (byzantine_counter_ == nullptr) {
+    byzantine_counter_ = &registry_.counter("faults.byzantine_result");
+  }
+  byzantine_counter_->inc();
   return true;
 }
 

@@ -21,11 +21,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/blob.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
@@ -76,14 +78,6 @@ struct FaultPlan {
 /// replay exactly.
 class FaultInjector {
  public:
-  struct Stats {
-    std::uint64_t transfer_drops = 0;
-    std::uint64_t transfer_stalls = 0;
-    std::uint64_t corruptions = 0;
-    std::uint64_t store_failures = 0;
-    std::uint64_t store_slowdowns = 0;
-  };
-
   struct TransferOutcome {
     bool dropped = false;
     double time_factor = 1.0;  // stall multiplier on the transfer duration
@@ -99,14 +93,26 @@ class FaultInjector {
   void corrupt(Blob& payload);
 
   const FaultPlan& plan() const { return plan_; }
-  const Stats& stats() const { return stats_; }
 
  private:
+  // One counter per fault kind, kind names matching fault_kind_names(). The
+  // coverage test asserts the "faults." counter set equals that list.
+  struct Metrics {
+    obs::Registry& registry;
+    obs::Counter& transfer_drop = registry.counter("faults.transfer_drop");
+    obs::Counter& transfer_stall = registry.counter("faults.transfer_stall");
+    obs::Counter& corruption = registry.counter("faults.corruption");
+    obs::Counter& store_failure = registry.counter("faults.store_failure");
+    obs::Counter& store_slowdown = registry.counter("faults.store_slowdown");
+  };
+
   TransferOutcome draw(const TransferFaults& model);
+  Metrics& metrics();
 
   FaultPlan plan_;
   Rng rng_;
-  Stats stats_;
+  obs::Registry& registry_ = obs::registry();  // current at construction
+  std::optional<Metrics> metrics_;             // resolved on the first fault
 };
 
 /// Every fault kind the stack can inject; each increments the obs counter
@@ -163,10 +169,6 @@ struct AdversaryPlan {
 /// valid by construction.
 class AdversaryModel {
  public:
-  struct Stats {
-    std::uint64_t attacks = 0;  // results actually corrupted
-  };
-
   AdversaryModel(AdversaryPlan plan, std::size_t fleet_size, Rng rng);
 
   bool is_adversary(std::size_t client) const;
@@ -177,7 +179,6 @@ class AdversaryModel {
 
   const std::vector<std::size_t>& adversaries() const { return adversaries_; }
   const AdversaryPlan& plan() const { return plan_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   AdversaryPlan plan_;
@@ -185,7 +186,8 @@ class AdversaryModel {
   Rng rng_;                   // attack_prob draws (event order = draw order)
   std::uint64_t noise_seed_ = 0;
   std::uint64_t attack_ordinal_ = 0;  // keys independent (non-collude) noise
-  Stats stats_;
+  obs::Registry& registry_ = obs::registry();  // current at construction
+  obs::Counter* byzantine_counter_ = nullptr;  // resolved on the first attack
 };
 
 /// Capped exponential backoff with jitter — the client-side retry policy for

@@ -2,8 +2,6 @@
 
 #include <functional>
 
-#include "storage/store_metrics.hpp"
-
 namespace vcdl {
 
 EventualStore::Shard& EventualStore::shard_for(const std::string& key) {
@@ -14,7 +12,7 @@ std::optional<VersionedValue> EventualStore::get(const std::string& key) {
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
+  metrics_.reads.inc();
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) return std::nullopt;
   return it->second;
@@ -27,11 +25,11 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
   auto& slot = shard.map[key];
   const bool lost = read_version != 0 && slot.version != read_version;
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().writes.inc();
+  metrics_.writes.inc();
   if (lost) {
     // We clobber a version we never saw.
     stats_.lost_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc();
+    metrics_.lost_updates.inc();
   }
   slot.value = std::move(value);
   return ++slot.version;

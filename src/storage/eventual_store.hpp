@@ -45,6 +45,7 @@ class EventualStore : public KvStore {
   // Relaxed atomics: stat bumps must not re-serialize the sharded hot path
   // on a global lock (kvstore.hpp AtomicStoreStats).
   AtomicStoreStats stats_;
+  StoreMetrics metrics_{obs::registry()};
 };
 
 }  // namespace vcdl

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/blob.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
@@ -65,6 +66,17 @@ struct AtomicStoreStats {
     s.contended_updates = contended_updates.load(std::memory_order_relaxed);
     return s;
   }
+};
+
+/// Registry handles shared by both store flavors: an experiment runs one
+/// store at a time, and the snapshot should not care which flavor produced
+/// the traffic. Each store resolves one bundle at construction.
+struct StoreMetrics {
+  obs::Registry& registry;
+  obs::Counter& reads = registry.counter("store.reads");
+  obs::Counter& writes = registry.counter("store.writes");
+  obs::Counter& lost_updates = registry.counter("store.lost_updates");
+  obs::Counter& contended = registry.counter("store.contended_updates");
 };
 
 /// Simulated per-operation latency (seconds). The defaults reproduce §IV-D:

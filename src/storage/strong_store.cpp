@@ -1,7 +1,5 @@
 #include "storage/strong_store.hpp"
 
-#include "storage/store_metrics.hpp"
-
 namespace vcdl {
 
 StoreLatencyModel redis_like_latency() {
@@ -17,7 +15,7 @@ StoreLatencyModel mysql_like_latency() {
 std::optional<VersionedValue> StrongStore::get(const std::string& key) {
   std::lock_guard lock(mutex_);
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
+  metrics_.reads.inc();
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
   return it->second;
@@ -27,16 +25,16 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
                                std::uint64_t read_version) {
   std::lock_guard lock(mutex_);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().writes.inc();
+  metrics_.writes.inc();
   auto& slot = map_[key];
   // put() is still last-writer-wins — strong consistency lives in update(),
   // which serializes the whole read-modify-write. But a caller doing
   // get→put against this store races exactly like on the eventual store, so
   // a stale read_version is counted instead of silently discarded: the
-  // misuse is observable in stats()/store_metrics.
+  // misuse is observable in stats() and "store.lost_updates".
   if (read_version != 0 && slot.version != read_version) {
     stats_.lost_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc();
+    metrics_.lost_updates.inc();
   }
   slot.value = std::move(value);
   return ++slot.version;
@@ -49,12 +47,12 @@ std::uint64_t StrongStore::update(const std::string& key,
   if (!lock.owns_lock()) {
     lock.lock();
     stats_.contended_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().contended.inc();
+    metrics_.contended.inc();
   }
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
-  store_metrics().writes.inc();
+  metrics_.reads.inc();
+  metrics_.writes.inc();
   auto& slot = map_[key];
   const Blob* current = slot.version > 0 ? &slot.value : nullptr;
   slot.value = fn(current);

@@ -31,6 +31,7 @@ class StrongStore : public KvStore {
   // Relaxed atomics (kvstore.hpp AtomicStoreStats): stats() never takes the
   // store lock, and counting stays cheap inside it.
   AtomicStoreStats stats_;
+  StoreMetrics metrics_{obs::registry()};
 };
 
 }  // namespace vcdl

@@ -10,22 +10,19 @@
 namespace vcdl::ops {
 namespace {
 
-// Hot-path spans. Under a simulation run the registry carries the engine's
-// frozen virtual clock, so these record deterministic zero-duration samples
-// (pure call counts); benches run them on the wall clock and get real
-// kernel-time distributions. Handles are resolved once — obs::registry()
-// never invalidates references.
+// Hot-path spans. Under a simulation run the current registry is the run's
+// and carries the engine's frozen virtual clock, so these record
+// deterministic zero-duration samples (pure call counts); benches run them
+// on the wall clock and get real kernel-time distributions. Handles are
+// cached per thread and registry (obs::current_handles).
 struct ExecMetrics {
-  obs::Histogram& gemm_s =
-      obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
+  obs::Registry& registry;
+  obs::Histogram& gemm_s = registry.histogram("exec.gemm_s", {0.0, 0.05, 50});
   obs::Histogram& pool_wait_s =
-      obs::registry().histogram("exec.pool_wait_s", {0.0, 0.01, 40});
+      registry.histogram("exec.pool_wait_s", {0.0, 0.01, 40});
 };
 
-ExecMetrics& exec_metrics() {
-  static ExecMetrics m;
-  return m;
-}
+ExecMetrics& exec_metrics() { return obs::current_handles<ExecMetrics>(); }
 
 void check_same_size(std::span<const float> a, std::span<const float> b,
                      const char* what) {

@@ -26,6 +26,7 @@
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -67,6 +68,7 @@ std::optional<std::vector<float>> float_decoder(const Blob& payload) {
 // --- ConsensusBuffer: exact-hash mode ----------------------------------------
 
 TEST(ConsensusBuffer, QuorumOfMatchingHashesPromotesEarliestReplica) {
+  testing::LocalRegistry reg;
   ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
   const Workunit wu = make_unit(1);
   auto first = buf.submit(wu, 7, byte_payload(0xAA), 1.0, 3);
@@ -83,11 +85,12 @@ TEST(ConsensusBuffer, QuorumOfMatchingHashesPromotesEarliestReplica) {
   EXPECT_EQ(second.agreeing, 2u);
   EXPECT_TRUE(second.outvoted.empty());
   EXPECT_FALSE(buf.holding(1));
-  EXPECT_EQ(buf.stats().quorum_promoted, 1u);
-  EXPECT_EQ(buf.stats().replicas_held, 2u);
+  EXPECT_EQ(reg.count("consensus.quorum_promoted"), 1u);
+  EXPECT_EQ(reg.count("consensus.replicas_held"), 2u);
 }
 
 TEST(ConsensusBuffer, DisagreeingMinorityIsOutvoted) {
+  testing::LocalRegistry reg;
   ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
   const Workunit wu = make_unit(1);
   (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
@@ -98,10 +101,11 @@ TEST(ConsensusBuffer, DisagreeingMinorityIsOutvoted) {
   EXPECT_EQ(third.winner->client, 0u);
   ASSERT_EQ(third.outvoted.size(), 1u);
   EXPECT_EQ(third.outvoted[0], 1u);
-  EXPECT_EQ(buf.stats().results_outvoted, 1u);
+  EXPECT_EQ(reg.count("consensus.results_outvoted"), 1u);
 }
 
 TEST(ConsensusBuffer, AllRepliesWithoutQuorumFallBackToPlurality) {
+  testing::LocalRegistry reg;
   // m = 3 but the three replicas split 2-vs-1: fallback, largest class wins.
   ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr);
   const Workunit wu = make_unit(1);
@@ -113,8 +117,8 @@ TEST(ConsensusBuffer, AllRepliesWithoutQuorumFallBackToPlurality) {
   EXPECT_EQ(last.agreeing, 2u);
   ASSERT_EQ(last.outvoted.size(), 1u);
   EXPECT_EQ(last.outvoted[0], 2u);
-  EXPECT_EQ(buf.stats().fallback_promoted, 1u);
-  EXPECT_EQ(buf.stats().quorum_promoted, 0u);
+  EXPECT_EQ(reg.count("consensus.fallback_promoted"), 1u);
+  EXPECT_EQ(reg.count("consensus.quorum_promoted"), 0u);
 }
 
 TEST(ConsensusBuffer, SameClientReuploadReplacesItsReplica) {
@@ -159,6 +163,7 @@ TEST(ConsensusBuffer, FlushPromotesPluralityAndEmptiesUnit) {
 }
 
 TEST(ConsensusBuffer, DrainReportsSortedHoldersAndClearsEverything) {
+  testing::LocalRegistry reg;
   ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr);
   (void)buf.submit(make_unit(1), 5, byte_payload(0xAA), 1.0, 3);
   (void)buf.submit(make_unit(1), 2, byte_payload(0xBB), 2.0, 3);
@@ -174,7 +179,7 @@ TEST(ConsensusBuffer, DrainReportsSortedHoldersAndClearsEverything) {
   EXPECT_EQ(dropped[1].second, (std::vector<ClientId>{8}));
   EXPECT_EQ(buf.held_units(), 0u);
   EXPECT_EQ(buf.held_replicas(), 0u);
-  EXPECT_EQ(buf.stats().replicas_flushed, 3u);
+  EXPECT_EQ(reg.count("consensus.replicas_flushed"), 3u);
 }
 
 // --- ConsensusBuffer: tolerance mode -----------------------------------------
@@ -265,6 +270,7 @@ TEST(AdversaryModel, SelectionIsSeededAndRoundsToNearest) {
 }
 
 TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
+  testing::LocalRegistry reg;
   const std::vector<float> base = {1.0f, -2.0f, 0.5f};
   {
     AdversaryPlan plan;
@@ -274,7 +280,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     std::vector<float> p = base;
     EXPECT_TRUE(adv.attack(p, 1));
     EXPECT_EQ(p, (std::vector<float>{-1.0f, 2.0f, -0.5f}));
-    EXPECT_EQ(adv.stats().attacks, 1u);
+    EXPECT_EQ(reg.count("faults.byzantine_result"), 1u);
   }
   {
     AdversaryPlan plan;
@@ -364,6 +370,7 @@ TEST(SchedulerReputation, AcceptedResultCreditsBothScores) {
 // --- Scheduler: held replicas -------------------------------------------------
 
 TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.add_unit(make_unit(1, /*deadline=*/50.0, /*replication=*/2));
@@ -372,7 +379,7 @@ TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
   EXPECT_EQ(s.inflight_count(), 0u);
   // No deadline may ever fire on an already-uploaded replica.
   EXPECT_TRUE(s.expire_deadlines(1000.0).empty());
-  EXPECT_EQ(s.stats().timeouts, 0u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 0u);
   EXPECT_FALSE(s.is_retired(1));
   // The holder must not be handed the same unit again while quorum pends.
   EXPECT_TRUE(s.request_work(0, 1, 2.0).empty());
@@ -380,6 +387,7 @@ TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
 }
 
 TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.add_unit(make_unit(1, 50.0, /*replication=*/1));
@@ -389,7 +397,7 @@ TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
   // Crash: the held replica is gone; the unit must become issuable again —
   // to its original holder too (it may be the only client).
   s.reissue_replica(1, 0);
-  EXPECT_EQ(s.stats().lost_replicas, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.replica_lost"), 1u);
   const auto again = s.request_work(0, 1, 2.0);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].id, 1u);
@@ -400,6 +408,7 @@ TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
 // --- Scheduler: adaptive replication -----------------------------------------
 
 TEST(AdaptiveReplication, NewClientTriggersFullRedundancy) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.enable_adaptive_replication({.trust_threshold = 0.7,
                                  .untrusted_replication = 3,
@@ -415,7 +424,7 @@ TEST(AdaptiveReplication, NewClientTriggersFullRedundancy) {
   EXPECT_EQ(s.effective_replication(1), 3u);
   EXPECT_EQ(s.request_work(1, 1, 0.0).size(), 1u);
   EXPECT_EQ(s.request_work(2, 1, 0.0).size(), 1u);
-  EXPECT_EQ(s.stats().solo_grants, 0u);
+  EXPECT_EQ(reg.count("consensus.solo_grants"), 0u);
 }
 
 // Three successes lift integrity 0.5 → 0.744 past the 0.7 threshold.
@@ -431,6 +440,7 @@ void build_trust(Scheduler& s, ClientId client, WorkunitId first_id) {
 }
 
 TEST(AdaptiveReplication, TrustedClientEarnsSoloGrants) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.enable_adaptive_replication({.trust_threshold = 0.7,
                                  .untrusted_replication = 3,
@@ -438,17 +448,18 @@ TEST(AdaptiveReplication, TrustedClientEarnsSoloGrants) {
                                 Rng(1));
   s.register_client(0);
   build_trust(s, 0, 1);
-  const auto solos_before = s.stats().solo_grants;
+  const auto solos_before = reg.count("consensus.solo_grants");
   s.add_unit(make_unit(100, 600.0, /*replication=*/3));
   ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);
   // Trust overrides even an explicit replication-3 unit down to solo.
   EXPECT_EQ(s.effective_replication(100), 1u);
-  EXPECT_EQ(s.stats().solo_grants, solos_before + 1);
+  EXPECT_EQ(reg.count("consensus.solo_grants"), solos_before + 1);
   EXPECT_TRUE(s.report_result(0, 100, 11.0));
   EXPECT_TRUE(s.all_done());
 }
 
 TEST(AdaptiveReplication, SpotCheckAuditsTrustedClient) {
+  testing::LocalRegistry reg;
   Scheduler s;
   // Probability-1 audits make the draw deterministic.
   s.enable_adaptive_replication({.trust_threshold = 0.7,
@@ -461,13 +472,14 @@ TEST(AdaptiveReplication, SpotCheckAuditsTrustedClient) {
   ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);
   // Audited despite the trust: full redundancy, counted as a spot check.
   EXPECT_EQ(s.effective_replication(100), 3u);
-  EXPECT_EQ(s.stats().spot_checks, 1u);
-  EXPECT_EQ(s.stats().solo_grants, 0u);
+  EXPECT_EQ(reg.count("consensus.spot_checks"), 1u);
+  EXPECT_EQ(reg.count("consensus.solo_grants"), 0u);
 }
 
 // --- GridServer integration ---------------------------------------------------
 
 struct ConsensusHarness {
+  testing::LocalRegistry metrics;  // first: every component below counts here
   SimEngine engine;
   TraceLog trace;
   Scheduler scheduler;
@@ -514,11 +526,11 @@ TEST(ConsensusIntegration, MajorityPromotesAndOutvotedLosesIntegrity) {
   ASSERT_EQ(h.backend.seen.size(), 1u);
   EXPECT_EQ(h.backend.seen[0].client, 0u);  // earliest of the winning class
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
-  EXPECT_EQ(h.server.stats().results_outvoted, 1u);
+  EXPECT_EQ(h.metrics.count("consensus.quorum_promoted"), 1u);
+  EXPECT_EQ(h.metrics.count("consensus.results_outvoted"), 1u);
   // The outvoted client's integrity took the consensus verdict.
   EXPECT_LT(h.scheduler.integrity(1), liar_integrity);
-  EXPECT_EQ(h.scheduler.stats().invalid_results, 1u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.invalid_result"), 1u);
   EXPECT_GT(h.trace.count(TraceKind::consensus_held), 0u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_quorum), 1u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_outvoted), 1u);
@@ -539,12 +551,12 @@ TEST(ConsensusIntegration, RetiredUnitEarlyOutSkipsValidator) {
   ASSERT_TRUE(h.scheduler.is_retired(1));
   // The straggler's payload is *empty* — the validator would reject it — but
   // a retired unit early-outs before validation: duplicate, not invalid.
-  const auto invalid_before = h.server.stats().invalid;
+  const auto invalid_before = h.metrics.count("server.results_invalid");
   const double avail_before = h.scheduler.availability(2);
   EXPECT_TRUE(h.server.submit_result(2, wu, Blob()));
   EXPECT_EQ(h.server.stats().retired_skips, 1u);
-  EXPECT_EQ(h.server.stats().invalid, invalid_before);
-  EXPECT_EQ(h.server.stats().duplicates, 1u);
+  EXPECT_EQ(h.metrics.count("server.results_invalid"), invalid_before);
+  EXPECT_EQ(h.metrics.count("server.results_duplicate"), 1u);
   // The late delivery still earns availability credit.
   EXPECT_GT(h.scheduler.availability(2), avail_before);
 }
@@ -565,7 +577,7 @@ TEST(ConsensusIntegration, CrashReissuesHeldReplicasNothingLeaks) {
 
   h.server.crash();
   EXPECT_EQ(h.server.held_replicas(), 0u);
-  EXPECT_EQ(h.scheduler.stats().lost_replicas, 2u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.replica_lost"), 2u);
   EXPECT_FALSE(h.scheduler.is_retired(1));
   h.engine.run();  // the orphaned fallback timer must no-op (generation guard)
   EXPECT_EQ(h.backend.seen.size(), 0u);
@@ -580,7 +592,7 @@ TEST(ConsensusIntegration, CrashReissuesHeldReplicasNothingLeaks) {
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
   ASSERT_EQ(h.backend.seen.size(), 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
+  EXPECT_EQ(h.metrics.count("consensus.quorum_promoted"), 1u);
 }
 
 TEST(ConsensusIntegration, FallbackDeadlinePromotesPluralityOfArrivals) {
@@ -600,8 +612,8 @@ TEST(ConsensusIntegration, FallbackDeadlinePromotesPluralityOfArrivals) {
   h.engine.run();  // fallback fires at t = 50
   ASSERT_EQ(h.backend.seen.size(), 1u);
   EXPECT_EQ(h.backend.seen[0].client, 0u);  // 1-vs-1 tie → earliest arrival
-  EXPECT_EQ(h.server.stats().consensus_fallbacks, 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 0u);
+  EXPECT_EQ(h.metrics.count("consensus.fallback_promoted"), 1u);
+  EXPECT_EQ(h.metrics.count("consensus.quorum_promoted"), 0u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_fallback), 1u);
   EXPECT_TRUE(h.scheduler.is_retired(1));
 }
@@ -624,37 +636,23 @@ TEST(ConsensusIntegration, DeadlineReassignRacesQuorumSafely) {
   // held replica's own deadline must NOT fire (report_replica dropped it).
   const auto expired = h.scheduler.expire_deadlines(60.0);
   ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(h.scheduler.stats().timeouts, 1u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.timeout"), 1u);
   ASSERT_EQ(h.scheduler.request_work(2, 1, 61.0).size(), 1u);
   EXPECT_TRUE(h.server.submit_result(2, wu, byte_payload(0xAA)));
   h.engine.run();
   ASSERT_EQ(h.backend.seen.size(), 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
+  EXPECT_EQ(h.metrics.count("consensus.quorum_promoted"), 1u);
   EXPECT_TRUE(h.scheduler.all_done());
 }
 
 // --- consensus.* instrumentation coverage ------------------------------------
-
-std::set<std::string> registered_with_prefix(const std::string& prefix) {
-  std::set<std::string> out;
-  for (const auto& name : obs::registry().counter_names()) {
-    if (name.rfind(prefix, 0) == 0) out.insert(name);
-  }
-  return out;
-}
 
 // Every name in consensus_metric_names() has a registered counter that its
 // emission site actually increments, and no undeclared consensus.* counter
 // exists — the same set-equality contract the scheduler/fault taxonomies
 // carry in test_obs.cpp.
 TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& name : consensus_metric_names()) {
-      v[name] = obs::registry().counter("consensus." + name).value();
-    }
-    return v;
-  }();
+  testing::LocalRegistry reg;
 
   // Buffer counters: held, quorum_promoted, outvoted (promotion), then
   // fallback_promoted (flush) and replicas_flushed (drain).
@@ -698,11 +696,10 @@ TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
   std::set<std::string> expected;
   for (const auto& name : consensus_metric_names()) {
     expected.insert("consensus." + name);
-    EXPECT_GT(obs::registry().counter("consensus." + name).value(),
-              before.at(name))
+    EXPECT_GT(reg.count("consensus." + name), 0u)
         << "consensus metric '" << name << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("consensus."), expected);
+  EXPECT_EQ(reg.counters_with_prefix("consensus."), expected);
 }
 
 // --- Quorum invariant property + mutation check -------------------------------

@@ -10,6 +10,7 @@
 #include "sim/faults.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/kvstore.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -17,6 +18,7 @@ namespace {
 // --- FaultInjector -----------------------------------------------------------
 
 TEST(FaultInjector, DisabledPlanNeverFaults) {
+  testing::LocalRegistry reg;
   FaultInjector inj(FaultPlan{}, Rng(1));
   for (int i = 0; i < 100; ++i) {
     const auto out = inj.on_transfer(FaultSite::download);
@@ -24,8 +26,8 @@ TEST(FaultInjector, DisabledPlanNeverFaults) {
     EXPECT_DOUBLE_EQ(out.time_factor, 1.0);
     EXPECT_FALSE(inj.corrupt_result());
   }
-  EXPECT_EQ(inj.stats().transfer_drops, 0u);
-  EXPECT_EQ(inj.stats().corruptions, 0u);
+  // Nothing fired, so nothing registered either.
+  EXPECT_TRUE(reg.counters_with_prefix("faults.").empty());
 }
 
 TEST(FaultInjector, DisabledPlanDrawsNothing) {
@@ -63,6 +65,7 @@ TEST(FaultInjector, DeterministicForSeed) {
 }
 
 TEST(FaultInjector, RatesMatchPlan) {
+  testing::LocalRegistry reg;
   FaultPlan plan;
   plan.upload.drop_prob = 0.25;
   plan.upload.stall_prob = 0.25;
@@ -81,11 +84,14 @@ TEST(FaultInjector, RatesMatchPlan) {
   }
   EXPECT_NEAR(static_cast<double>(drops) / n, 0.25, 0.03);
   EXPECT_GT(stalls, 0);
-  EXPECT_EQ(inj.stats().transfer_drops, static_cast<std::uint64_t>(drops));
-  EXPECT_EQ(inj.stats().transfer_stalls, static_cast<std::uint64_t>(stalls));
+  EXPECT_EQ(reg.count("faults.transfer_drop"),
+            static_cast<std::uint64_t>(drops));
+  EXPECT_EQ(reg.count("faults.transfer_stall"),
+            static_cast<std::uint64_t>(stalls));
 }
 
 TEST(FaultInjector, CorruptionBreaksParameterChecksum) {
+  testing::LocalRegistry reg;
   const std::vector<float> params = {1.0f, -2.5f, 3.25f, 0.0f, 9.5f};
   Blob blob = save_params(std::span<const float>(params));
   ASSERT_NO_THROW((void)load_params(blob));
@@ -93,7 +99,7 @@ TEST(FaultInjector, CorruptionBreaksParameterChecksum) {
   plan.corruption_prob = 1.0;
   FaultInjector inj(plan, Rng(11));
   ASSERT_TRUE(inj.corrupt_result());  // certain at prob 1.0
-  EXPECT_EQ(inj.stats().corruptions, 1u);
+  EXPECT_EQ(reg.count("faults.corruption"), 1u);
   inj.corrupt(blob);
   EXPECT_THROW((void)load_params(blob), Error);
 }

@@ -30,6 +30,7 @@
 #include "sim/engine.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -233,6 +234,7 @@ Workunit make_unit(WorkunitId id, std::size_t replication = 1,
 }
 
 TEST(FleetScheduler, DoubleExpireSameUnitOneSweep) {
+  testing::LocalRegistry reg;
   // Replication-2 unit held by two clients, both deadlines due in the same
   // sweep: each miss is penalized once, the unit is requeued exactly once,
   // and the indexes stay coherent.
@@ -250,7 +252,7 @@ TEST(FleetScheduler, DoubleExpireSameUnitOneSweep) {
   // Both assignments of the unit expired — the id is reported per miss.
   EXPECT_EQ(expired, (std::vector<WorkunitId>{7, 7}));
   EXPECT_EQ(s.inflight_count(), 0u);
-  EXPECT_EQ(s.stats().timeouts, 2u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 2u);
   // Requeued once with both replicas issuable again.
   EXPECT_EQ(s.ready_count(), 1u);
   EXPECT_EQ(s.ready_queue_size(), 1u);
@@ -267,6 +269,7 @@ TEST(FleetScheduler, DoubleExpireSameUnitOneSweep) {
 }
 
 TEST(FleetScheduler, ExpiryTouchesOnlyDueAssignments) {
+  testing::LocalRegistry reg;
   // One due assignment among many far-future ones: the sweep must resolve
   // exactly the due one and leave the rest untouched (and still tracked).
   Scheduler s;
@@ -279,7 +282,7 @@ TEST(FleetScheduler, ExpiryTouchesOnlyDueAssignments) {
   const std::vector<WorkunitId> expired = s.expire_deadlines(6.0);
   EXPECT_EQ(expired, (std::vector<WorkunitId>{1}));
   EXPECT_EQ(s.inflight_count(), 99u);
-  EXPECT_EQ(s.stats().timeouts, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 1u);
   ASSERT_TRUE(s.next_deadline().has_value());
   EXPECT_DOUBLE_EQ(*s.next_deadline(), 1000.0);
   s.check_invariants();
@@ -302,6 +305,7 @@ TEST(FleetScheduler, LateResultAfterExpiryStillRetiresUnit) {
 }
 
 TEST(FleetScheduler, StaleDeadlineEntriesAreSweptNotReplayed) {
+  testing::LocalRegistry reg;
   // Assignments resolved through results leave orphaned deadline entries;
   // a later sweep past their deadlines must not penalize anyone.
   Scheduler s;
@@ -313,7 +317,7 @@ TEST(FleetScheduler, StaleDeadlineEntriesAreSweptNotReplayed) {
   for (WorkunitId u = 1; u <= 5; ++u) EXPECT_TRUE(s.report_result(1, u, 1.0));
   const double rep = s.availability(1);
   EXPECT_TRUE(s.expire_deadlines(100.0).empty());
-  EXPECT_EQ(s.stats().timeouts, 0u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 0u);
   EXPECT_DOUBLE_EQ(s.availability(1), rep);
   EXPECT_EQ(s.deadline_heap_size(), 0u);
   s.check_invariants();
@@ -509,12 +513,10 @@ TEST(FleetScheduler, MutationDroppedIssuedHoldIsCaught) {
 // and therefore every one of these bits. The strong-store case exercises the
 // reliability gate and replication-2 grants; the delta case exercises a
 // second codec over the identical schedule.
-// Note: the metrics snapshot fingerprint is deliberately NOT pinned here —
-// it hashes the registered metric *name set* too, and the scheduler unit
-// tests above register extra counters (consensus spot-checks, replica-lost)
-// in the process-global registry, so its value depends on which tests ran
-// first. The trace digest covers every grant/expiry/result event and the
-// params hash covers the training outcome; both are registry-independent.
+// The metrics snapshot fingerprint is not pinned here: the trace digest
+// covers every grant/expiry/result event and the params hash covers the
+// training outcome. (Each run owns its registry, so a fingerprint would no
+// longer depend on which tests ran first; test_shard_plane pins one.)
 struct FleetGolden {
   const char* codec;
   const char* store;

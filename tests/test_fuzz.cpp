@@ -24,6 +24,7 @@
 #include "storage/kvstore.hpp"
 #include "testing/generators.hpp"
 #include "testing/prop.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -43,7 +44,9 @@ TEST(Fuzz, SchedulerInvariantsHoldUnderRandomOps) {
   cfg.trials = 8;
   cfg.max_size = 16;
   const PropResult r = run_property(cfg, [](Rng& rng, int size) {
+    testing::LocalRegistry reg;
     Scheduler s;
+    const obs::Counter& results = reg.registry().counter("scheduler.results");
     constexpr std::size_t kClients = 4;
     for (ClientId c = 0; c < kClients; ++c) s.register_client(c);
 
@@ -117,7 +120,7 @@ TEST(Fuzz, SchedulerInvariantsHoldUnderRandomOps) {
       prop_assert(s.all_done() == (done.size() == generated),
                   "all_done disagrees with the model");
       prop_assert(s.stats().generated == generated, "generated count drifted");
-      prop_assert(s.stats().results == done.size(), "result count drifted");
+      prop_assert(results.value() == done.size(), "result count drifted");
     }
     // Drain: clients request everything and report it; the job must finish.
     for (int round = 0; round < 2000 && !s.all_done(); ++round) {

@@ -4,6 +4,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -42,17 +43,18 @@ TEST(FileServer, MissingFileThrows) {
 }
 
 TEST(FileServer, StatsAccumulate) {
+  testing::LocalRegistry reg;
   FileServer fs;
   fs.publish("f", payload_of(1000), true);
   (void)fs.fetch("f");
   (void)fs.fetch("f");
   fs.record_cache_hit();
-  const auto& s = fs.stats();
-  EXPECT_EQ(s.publishes, 1u);
-  EXPECT_EQ(s.fetches, 2u);
-  EXPECT_EQ(s.bytes_raw, 2000u);
-  EXPECT_LT(s.bytes_wire, s.bytes_raw);
-  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(reg.count("file_server.publishes"), 1u);
+  EXPECT_EQ(reg.count("file_server.fetches"), 2u);
+  EXPECT_EQ(reg.count("file_server.bytes_raw"), 2000u);
+  EXPECT_LT(reg.count("file_server.bytes_wire"),
+            reg.count("file_server.bytes_raw"));
+  EXPECT_EQ(reg.count("file_server.cache_hits"), 1u);
 }
 
 // --- Scheduler ---------------------------------------------------------------
@@ -116,6 +118,7 @@ TEST(Scheduler, ReplicaNeverIssuedTwiceToSameClient) {
 }
 
 TEST(Scheduler, DeadlineExpiryRequeues) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.register_client(1);
@@ -125,7 +128,7 @@ TEST(Scheduler, DeadlineExpiryRequeues) {
   const auto expired = s.expire_deadlines(50.0);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0], 1u);
-  EXPECT_EQ(s.stats().timeouts, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 1u);
   // The unit is assignable again (even to the client that missed it).
   const auto retry = s.request_work(1, 1, 60.0);
   ASSERT_EQ(retry.size(), 1u);
@@ -219,6 +222,7 @@ TEST(Scheduler, ReadyQueueDropsRetiredReplicatedUnits) {
 }
 
 TEST(Scheduler, ReportFailureRequeuesReplicaImmediately) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.register_client(1);
@@ -227,13 +231,13 @@ TEST(Scheduler, ReportFailureRequeuesReplicaImmediately) {
   const double before = s.reliability(0);
   s.report_failure(0, 1, 5.0);
   EXPECT_EQ(s.inflight_count(), 0u);
-  EXPECT_EQ(s.stats().failures, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.fast_fail"), 1u);
   EXPECT_LT(s.reliability(0), before);  // same hit a timeout would cost
   // Requeued at once — no waiting out the 1000 s deadline.
   const auto got = s.request_work(1, 1, 6.0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 1u);
-  EXPECT_EQ(s.stats().timeouts, 0u);
+  EXPECT_EQ(reg.count("scheduler.failure.timeout"), 0u);
 }
 
 TEST(Scheduler, ReportFailureAfterExpiryIsHarmless) {
@@ -250,13 +254,14 @@ TEST(Scheduler, ReportFailureAfterExpiryIsHarmless) {
 }
 
 TEST(Scheduler, ReportInvalidPenalizesAndRequeues) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.add_unit(make_unit(1, 0, 1000.0));
   (void)s.request_work(0, 1, 0.0);
   const double before = s.reliability(0);
   s.report_invalid(0, 1, 5.0);
-  EXPECT_EQ(s.stats().invalid_results, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.invalid_result"), 1u);
   EXPECT_LT(s.reliability(0), before);
   EXPECT_FALSE(s.all_done());
   // The same client may retry (it is the only machine).
@@ -267,6 +272,7 @@ TEST(Scheduler, ReportInvalidPenalizesAndRequeues) {
 }
 
 TEST(Scheduler, ReissueLostUnretiresUnit) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.add_unit(make_unit(1));
@@ -275,11 +281,11 @@ TEST(Scheduler, ReissueLostUnretiresUnit) {
   s.report_result(0, 1, 1.0);
   s.reissue_lost(1);
   EXPECT_FALSE(s.all_done());
-  EXPECT_EQ(s.stats().reissues, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.reissue_lost"), 1u);
   // Reissuing a unit that was never retired is a no-op (deadline recovery
   // owns pending units).
   s.reissue_lost(2);
-  EXPECT_EQ(s.stats().reissues, 1u);
+  EXPECT_EQ(reg.count("scheduler.failure.reissue_lost"), 1u);
   // The producing client itself can pick the unit back up — essential when
   // it is the only client in the fleet.
   const auto got = s.request_work(0, 1, 2.0);
@@ -291,6 +297,7 @@ TEST(Scheduler, ReissueLostUnretiresUnit) {
 }
 
 TEST(Scheduler, LateResultAfterExpiryIsDuplicateAndStillCredits) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.register_client(0);
   s.register_client(1);
@@ -302,7 +309,7 @@ TEST(Scheduler, LateResultAfterExpiryIsDuplicateAndStillCredits) {
   EXPECT_TRUE(s.report_result(1, 1, 70.0));   // replacement retires the unit
   EXPECT_FALSE(s.report_result(0, 1, 80.0));  // straggler: duplicate
   EXPECT_EQ(s.stats().duplicate_results, 1u);
-  EXPECT_EQ(s.stats().results, 1u);
+  EXPECT_EQ(reg.count("scheduler.results"), 1u);
   EXPECT_TRUE(s.all_done());
   // The late upload still counts toward reliability — the machine is slow,
   // not lost, and it should be able to earn trust back.
@@ -310,6 +317,7 @@ TEST(Scheduler, LateResultAfterExpiryIsDuplicateAndStillCredits) {
 }
 
 TEST(Scheduler, ReliabilityGateEarnBackAfterFailures) {
+  testing::LocalRegistry reg;
   Scheduler s;
   s.set_reliability_gate(0.4);
   s.register_client(0);
@@ -317,7 +325,7 @@ TEST(Scheduler, ReliabilityGateEarnBackAfterFailures) {
   auto got = s.request_work(0, 4, 0.0);
   ASSERT_EQ(got.size(), 4u);
   for (const auto& wu : got) s.report_failure(0, wu.id, 1.0);
-  EXPECT_EQ(s.stats().failures, 4u);
+  EXPECT_EQ(reg.count("scheduler.failure.fast_fail"), 4u);
   EXPECT_LT(s.reliability(0), 0.4);
   // Below the gate: one unit per request (the abandoned units are issuable
   // again immediately).
@@ -348,6 +356,7 @@ TEST(Scheduler, NextDeadlineReported) {
 // --- GridServer + SimClient integration --------------------------------------
 
 struct Harness {
+  testing::LocalRegistry metrics;  // first: every component below counts here
   SimEngine engine;
   TraceLog trace;
   Scheduler scheduler;
@@ -414,7 +423,7 @@ TEST(GridIntegration, SingleClientCompletesUnits) {
   EXPECT_TRUE(h.scheduler.all_done());
   EXPECT_EQ(h.backend.seen.size(), 4u);
   EXPECT_EQ(h.server.stats().assimilated, 4u);
-  EXPECT_EQ(client->stats().completed, 4u);
+  EXPECT_EQ(h.metrics.count("client.completed"), 4u);
 }
 
 TEST(GridIntegration, StickyFilesCachedAcrossUnits) {
@@ -430,7 +439,8 @@ TEST(GridIntegration, StickyFilesCachedAcrossUnits) {
   client->stop();
   h.engine.run();
   EXPECT_GE(client->stats().cache_hits, 2u);
-  EXPECT_EQ(h.files.stats().cache_hits, client->stats().cache_hits);
+  EXPECT_EQ(h.metrics.count("file_server.cache_hits"),
+            client->stats().cache_hits);
 }
 
 TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
@@ -456,12 +466,12 @@ TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
   client->stop();
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().invalid, 1u);
+  EXPECT_EQ(h.metrics.count("server.results_invalid"), 1u);
   EXPECT_EQ(h.server.stats().assimilated, 1u);
   // The invalid result is requeued immediately via report_invalid — recovery
   // no longer has to wait for the deadline sweep.
-  EXPECT_EQ(h.scheduler.stats().invalid_results, 1u);
-  EXPECT_EQ(h.scheduler.stats().timeouts, 0u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.invalid_result"), 1u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.timeout"), 0u);
 }
 
 TEST(GridIntegration, PreemptionLosesInflightThenRecovers) {
@@ -484,8 +494,8 @@ TEST(GridIntegration, PreemptionLosesInflightThenRecovers) {
   client->stop();
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_GT(client->stats().preemptions, 0u);
-  EXPECT_GT(h.scheduler.stats().timeouts, 0u);
+  EXPECT_GT(h.metrics.count("client.preemptions"), 0u);
+  EXPECT_GT(h.metrics.count("scheduler.failure.timeout"), 0u);
   EXPECT_EQ(h.backend.seen.size(), 3u);
   EXPECT_GT(h.trace.count(TraceKind::preempted), 0u);
 }
@@ -526,7 +536,7 @@ TEST(GridIntegration, ReplicatedUnitSurvivesPreemptedHolder) {
   EXPECT_TRUE(h.scheduler.all_done());
   EXPECT_EQ(h.server.stats().assimilated, 1u);
   EXPECT_EQ(h.backend.seen.size(), 1u);
-  EXPECT_EQ(h.scheduler.stats().results, 1u);
+  EXPECT_EQ(h.metrics.count("scheduler.results"), 1u);
 }
 
 TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
@@ -546,15 +556,15 @@ TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
   h.server.crash();
   EXPECT_FALSE(h.server.is_up());
   EXPECT_EQ(h.server.generation(), 1u);
-  EXPECT_EQ(h.server.stats().lost_results, 4u);
+  EXPECT_EQ(h.metrics.count("server.lost_results"), 4u);
   EXPECT_EQ(h.server.queued_results(), 0u);
   EXPECT_EQ(h.server.active_assimilations(), 0u);
   // All four accepted-but-unassimilated units are un-retired.
-  EXPECT_EQ(h.scheduler.stats().reissues, 4u);
+  EXPECT_EQ(h.metrics.count("scheduler.failure.reissue_lost"), 4u);
   EXPECT_FALSE(h.scheduler.all_done());
   // Uploads are rejected while down.
   EXPECT_FALSE(h.server.submit_result(0, h.unit(99, 0), payload_of(8)));
-  EXPECT_EQ(h.server.stats().rejected_down, 1u);
+  EXPECT_EQ(h.metrics.count("server.rejected_down"), 1u);
   // Draining the engine fires the stale backend completions; the generation
   // guard must stop them from freeing slots or counting assimilations.
   h.engine.run();

@@ -6,6 +6,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -22,6 +23,7 @@ struct CountingBackend : AssimilatorBackend {
 };
 
 struct ClientHarness {
+  testing::LocalRegistry metrics;  // first: every component below counts here
   SimEngine engine;
   TraceLog trace;
   Scheduler scheduler;
@@ -78,7 +80,7 @@ TEST(SimClientTest, ConcurrencyNeverExceedsTn) {
     if (h.scheduler.all_done()) client->stop();
   }
   EXPECT_EQ(peak, 3u);  // the limit is actually reached
-  EXPECT_EQ(client->stats().completed, 12u);
+  EXPECT_EQ(h.metrics.count("client.completed"), 12u);
 }
 
 TEST(SimClientTest, IdleClientPollsAtConfiguredInterval) {
@@ -91,7 +93,7 @@ TEST(SimClientTest, IdleClientPollsAtConfiguredInterval) {
   client->stop();
   h.engine.run();
   // ~10 polls in 300 s; nothing completed, nothing downloaded.
-  EXPECT_EQ(client->stats().completed, 0u);
+  EXPECT_EQ(h.metrics.count("client.completed"), 0u);
   EXPECT_EQ(client->stats().downloads, 0u);
 }
 
@@ -123,7 +125,7 @@ TEST(SimClientTest, StopCancelsEverythingPending) {
   client->stop();
   h.engine.run();  // must drain instantly — no lingering events
   EXPECT_LT(h.engine.now(), 3600.0);
-  EXPECT_EQ(client->stats().completed, 0u);
+  EXPECT_EQ(h.metrics.count("client.completed"), 0u);
 }
 
 TEST(SimClientTest, ExecJitterIsDeterministicPerSeed) {
@@ -154,7 +156,7 @@ TEST(SimClientTest, BusyTimeAccountsForAllExecutions) {
   h.engine.run_until(sim_hours(1.0));
   client->stop();
   h.engine.run();
-  EXPECT_EQ(client->stats().completed, 6u);
+  EXPECT_EQ(h.metrics.count("client.completed"), 6u);
   EXPECT_NEAR(client->stats().busy_s, 6 * 10.0, 1e-6);
 }
 

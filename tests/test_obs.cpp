@@ -2,36 +2,45 @@
 //
 // Three tiers of guarantees, all tier 1:
 //   1. Registry semantics — counters, gauges, fixed-bucket histograms,
-//      percentile brackets, snapshot export/diff — pinned by unit tests on
-//      *local* Registry instances (the global registry stays clean for the
-//      coverage tests below).
+//      percentile brackets, snapshot export/diff, the current-registry scope
+//      — pinned by unit tests on *local* Registry instances.
 //   2. Instrumentation coverage — set-equality between the declared failure
 //      taxonomies (scheduler_failure_kinds, fault_kind_names) and the
 //      counters actually registered, plus increment checks per kind. A new
-//      failure path added without its counter fails here.
+//      failure path added without its counter fails here. Each check builds
+//      its components inside a testing::LocalRegistry, so it sees only what
+//      it drove.
 //   3. Determinism — two same-seed chaos runs must export byte-identical
 //      snapshot JSON (the acceptance criterion the tier-2 trace-replay suite
-//      extends), and simulated-time spans must record exactly-zero durations.
+//      extends), simulated-time spans must record exactly-zero durations, and
+//      a run's snapshot depends on that run alone: not on what ran before it
+//      in the process, nor on a run executing beside it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "grid/consensus.hpp"
+#include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "nn/model_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/span.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
+#include "tensor/ops.hpp"
+#include "testing/local_registry.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
 
@@ -46,8 +55,10 @@ using obs::HistogramOptions;
 using obs::MetricsSnapshot;
 using obs::PercentileBracket;
 using obs::Registry;
+using obs::ScopedRegistry;
 using obs::ScopedTimeSource;
 using obs::SpanTimer;
+using testing::LocalRegistry;
 using testing::PropConfig;
 using testing::PropResult;
 using testing::prop_assert;
@@ -130,8 +141,65 @@ TEST(ObsRegistry, ResetValuesKeepsRegistrations) {
   EXPECT_EQ(reg.histogram_names(), std::vector<std::string>{"h"});
 }
 
-TEST(ObsRegistry, GlobalRegistryIsASingleton) {
+TEST(ObsRegistry, ProcessDefaultOutsideAnyScope) {
   EXPECT_EQ(&obs::registry(), &obs::registry());
+}
+
+TEST(ObsRegistry, ScopedRegistryInstallsAndRestores) {
+  Registry& process_default = obs::registry();
+  Registry outer;
+  {
+    ScopedRegistry outer_scope(outer);
+    EXPECT_EQ(&obs::registry(), &outer);
+    {
+      Registry inner;
+      ScopedRegistry inner_scope(inner);
+      EXPECT_EQ(&obs::registry(), &inner);
+    }
+    EXPECT_EQ(&obs::registry(), &outer);
+  }
+  EXPECT_EQ(&obs::registry(), &process_default);
+}
+
+TEST(ObsRegistry, IdsAreNeverReused) {
+  std::uint64_t first = 0;
+  {
+    Registry a;
+    first = a.id();
+  }
+  Registry b;  // may well reuse a's storage
+  EXPECT_NE(b.id(), first);
+  EXPECT_NE(b.id(), obs::registry().id());
+}
+
+// Pool chunks run with the dispatcher's current registry, so the GEMM spans
+// of a pooled matmul land in the scope that issued it — and the worker
+// threads fall back to the process default once the dispatch is over.
+TEST(ObsRegistry, PoolChunksRecordIntoDispatchersRegistry) {
+  ThreadPool pool(4);
+  Rng rng(7);
+  const Tensor a = Tensor::randn(Shape{64, 8}, rng);  // 64 >= 4*pool.size()
+  const Tensor b = Tensor::randn(Shape{8, 4}, rng);
+  Tensor c;
+  const std::uint64_t default_waits =
+      obs::registry().histogram("exec.pool_wait_s", {0.0, 0.01, 40}).count();
+  {
+    LocalRegistry reg;
+    ops::matmul(a, b, c, /*accumulate=*/false, &pool);
+    const auto snap = reg.registry().snapshot();
+    EXPECT_EQ(snap.histograms.at("exec.gemm_s").count, 1u);
+    EXPECT_EQ(snap.histograms.at("exec.pool_wait_s").count, 1u);
+  }
+  EXPECT_EQ(
+      obs::registry().histogram("exec.pool_wait_s", {0.0, 0.01, 40}).count(),
+      default_waits);
+  // Outside the scope every chunk sees the process default again.
+  const std::uint64_t default_id = obs::registry().id();
+  std::atomic<int> foreign{0};
+  pool.parallel_for(0, 64, [&](std::size_t, std::size_t) {
+    if (obs::registry().id() != default_id) ++foreign;
+  });
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 // --- Histogram bucketing ----------------------------------------------------
@@ -394,26 +462,11 @@ TEST(ObsProperty, PercentileBracketContainsExactNearestRank) {
 
 // --- Instrumentation coverage -----------------------------------------------
 
-std::set<std::string> registered_with_prefix(const std::string& prefix) {
-  std::set<std::string> out;
-  for (const auto& name : obs::registry().counter_names()) {
-    if (name.rfind(prefix, 0) == 0) out.insert(name);
-  }
-  return out;
-}
-
 // Every declared scheduler failure kind has a registered counter, every
 // registered scheduler.failure.* counter has a declared kind, and driving
 // each failure path increments its counter.
 TEST(ObsCoverage, SchedulerFailureKindsMatchRegisteredCounters) {
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& k : scheduler_failure_kinds()) {
-      v[k] = obs::registry().counter("scheduler.failure." + k).value();
-    }
-    return v;
-  }();
-
+  LocalRegistry reg;
   Scheduler s;
   s.register_client(1);
   auto make_unit = [](WorkunitId id) {
@@ -449,26 +502,17 @@ TEST(ObsCoverage, SchedulerFailureKindsMatchRegisteredCounters) {
   std::set<std::string> expected;
   for (const auto& k : scheduler_failure_kinds()) {
     expected.insert("scheduler.failure." + k);
-    EXPECT_GT(obs::registry().counter("scheduler.failure." + k).value(),
-              before.at(k))
+    EXPECT_GT(reg.count("scheduler.failure." + k), 0u)
         << "failure kind '" << k << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("scheduler.failure."), expected);
+  EXPECT_EQ(reg.counters_with_prefix("scheduler.failure."), expected);
 }
 
 // Same contract for the fault injector: every fault kind in
 // fault_kind_names() maps to a registered "faults.<kind>" counter that its
 // injection site actually increments.
 TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
-  const auto counter_for = [](const std::string& kind) -> obs::Counter& {
-    return obs::registry().counter("faults." + kind);
-  };
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& k : fault_kind_names()) v[k] = counter_for(k).value();
-    return v;
-  }();
-
+  LocalRegistry reg;
   // Probability-1 plans make each injector draw deterministic.
   {
     FaultPlan plan;
@@ -529,10 +573,10 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
   std::set<std::string> expected;
   for (const auto& k : fault_kind_names()) {
     expected.insert("faults." + k);
-    EXPECT_GT(counter_for(k).value(), before.at(k))
+    EXPECT_GT(reg.count("faults." + k), 0u)
         << "fault kind '" << k << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("faults."), expected);
+  EXPECT_EQ(reg.counters_with_prefix("faults."), expected);
 }
 
 // The consensus stack registers its counters when the feature is configured
@@ -541,6 +585,7 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
 // counters are exactly consensus_metric_names(), which is exactly the set
 // the catalogue in docs/OBSERVABILITY.md lists.
 TEST(ObsCoverage, ConsensusMetricsMatchRegisteredCounters) {
+  LocalRegistry reg;
   const ConsensusBuffer buffer({.quorum = 2, .tolerance = 0.0}, nullptr);
   Scheduler scheduler;
   scheduler.enable_adaptive_replication({}, Rng(1));
@@ -556,7 +601,7 @@ TEST(ObsCoverage, ConsensusMetricsMatchRegisteredCounters) {
     declared.insert("consensus." + name);
   }
   EXPECT_EQ(declared, documented);
-  EXPECT_EQ(registered_with_prefix("consensus."), documented);
+  EXPECT_EQ(reg.counters_with_prefix("consensus."), documented);
 }
 
 // The assimilator registers the wire_codec.* counters with the rest of its
@@ -566,12 +611,50 @@ TEST(ObsCoverage, WireCodecMetricsMatchRegisteredCounters) {
   spec.wire_codec = "delta";
   const TrainResult result = run_experiment(spec);
   ASSERT_FALSE(result.epochs.empty());
-  EXPECT_GT(obs::registry().counter("wire_codec.frames_decoded").value(), 0u);
+  EXPECT_GT(result.metrics.counters.at("wire_codec.frames_decoded"), 0u);
 
   const std::set<std::string> documented = {"wire_codec.base_misses",
                                             "wire_codec.frames_decoded",
                                             "wire_codec.frames_dropped"};
-  EXPECT_EQ(registered_with_prefix("wire_codec."), documented);
+  std::set<std::string> registered;
+  for (const auto& [name, value] : result.metrics.counters) {
+    if (name.rfind("wire_codec.", 0) == 0) registered.insert(name);
+  }
+  EXPECT_EQ(registered, documented);
+}
+
+// The file server registers its whole counter bundle on construction, and
+// publishing, fetching, a delta pull, a delta fallback and a cache hit move
+// every one of them. The set is exactly the catalogue's file_server.* rows.
+TEST(ObsCoverage, FileServerMetricsMatchRegisteredCounters) {
+  LocalRegistry reg;
+  FileServer files;
+  files.set_wire_codec(WireMode::delta, /*version_ring=*/2);
+  std::vector<float> v(512, 1.0f);
+  const auto blob = [&] { return save_params(std::span<const float>(v)); };
+  files.publish("params", blob(), /*compress_on_wire=*/true,
+                /*delta_capable=*/true);
+  const auto first = files.pull("params", 0);
+  v[3] += 0.5f;
+  files.publish("params", blob(), true, true);
+  EXPECT_TRUE(files.pull("params", first.version).was_delta);
+  for (int i = 0; i < 2; ++i) {  // age version 1 out of the 2-deep ring
+    v[5] += 0.5f;
+    files.publish("params", blob(), true, true);
+  }
+  EXPECT_FALSE(files.pull("params", first.version).was_delta);
+  (void)files.fetch("params");
+  files.record_cache_hit();
+
+  const std::set<std::string> documented = {
+      "file_server.bytes_raw",       "file_server.bytes_wire",
+      "file_server.cache_hits",      "file_server.delta_fallbacks",
+      "file_server.delta_pulls",     "file_server.fetches",
+      "file_server.publishes"};
+  for (const auto& name : documented) {
+    EXPECT_GT(reg.count(name), 0u) << name << " never incremented";
+  }
+  EXPECT_EQ(reg.counters_with_prefix("file_server."), documented);
 }
 
 // --- End-to-end determinism (the tier-1 acceptance criterion) ---------------
@@ -641,6 +724,57 @@ TEST(ObsDeterminism, PeriodicSnapshotTimelineIsMonotone) {
   }
   EXPECT_NO_THROW(
       (void)result.metrics.diff(result.metric_timeline.back().snapshot));
+}
+
+// --- Per-run ownership -------------------------------------------------------
+
+// A run records into a registry of its own, so names an earlier run
+// registered (consensus.*, faults.*) cannot leak into a later run's
+// snapshot: the golden spec's fingerprint is the one a fresh process gives
+// (test_shard_plane pins the same value).
+TEST(ObsRunRegistry, RunSnapshotIgnoresProcessHistory) {
+  ExperimentSpec noisy = chaos_spec();
+  noisy.clients = 3;
+  noisy.replication = 2;
+  noisy.consensus.enabled = true;
+  const TrainResult first = run_experiment(noisy);
+  ASSERT_GT(first.metrics.counters.count("consensus.replicas_held"), 0u);
+  ASSERT_GT(first.metrics.counters.count("faults.transfer_drop"), 0u);
+
+  const TrainResult golden = run_experiment(tiny_image_spec(/*trace=*/true));
+  EXPECT_EQ(golden.metrics.fingerprint(), 0x3657284886b66da6ull);
+  EXPECT_EQ(golden.metrics.counters.count("consensus.replicas_held"), 0u);
+}
+
+// Two runs on two threads at once — one serial, one with a 2-thread pool —
+// each export exactly the snapshot they export when run alone, and neither
+// touches the process-default registry. The GEMM and im2col span counts are
+// properties of the job, not of the pool.
+TEST(ObsRunRegistry, ConcurrentRunsMatchSequential) {
+  ExperimentSpec serial = tiny_image_spec();
+  serial.worker_threads = 1;
+  ExperimentSpec pooled = tiny_image_spec();
+  pooled.worker_threads = 2;
+  const std::string serial_alone = run_experiment(serial).metrics.to_json();
+  const std::string pooled_alone = run_experiment(pooled).metrics.to_json();
+
+  Histogram& default_gemm =
+      obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
+  const std::uint64_t default_gemm_before = default_gemm.count();
+  TrainResult serial_result;
+  TrainResult pooled_result;
+  std::thread a([&] { serial_result = run_experiment(serial); });
+  std::thread b([&] { pooled_result = run_experiment(pooled); });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(serial_result.metrics.to_json(), serial_alone);
+  EXPECT_EQ(pooled_result.metrics.to_json(), pooled_alone);
+  for (const TrainResult* r : {&serial_result, &pooled_result}) {
+    EXPECT_EQ(r->metrics.histograms.at("exec.gemm_s").count, 10388u);
+    EXPECT_EQ(r->metrics.histograms.at("exec.im2col_s").count, 8352u);
+  }
+  EXPECT_EQ(default_gemm.count(), default_gemm_before);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include "obs/metrics.hpp"
 #include "storage/eventual_store.hpp"
 #include "storage/strong_store.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
 
 struct PsHarness {
+  testing::LocalRegistry metrics;  // first: every component below counts here
   SimEngine engine;
   TraceLog trace;
   Scheduler scheduler;
@@ -78,12 +80,6 @@ struct PsHarness {
     return load_params(v->value);
   }
 };
-
-// Global registry counters accumulate across tests in this binary; assert on
-// deltas around each scenario instead of absolute values.
-std::uint64_t counter_value(const std::string& name) {
-  return obs::registry().counter(name).value();
-}
 
 TEST(ParamServer, SingleResultAppliesEquationOne) {
   PsHarness h("eventual", /*alpha=*/0.5);
@@ -171,11 +167,11 @@ TEST(ParamServerWire, RingedDeltaFrameBlendsBitExact) {
   const std::vector<float> w0 = h.model.flat_params();
   std::vector<float> client = w0;
   for (auto& v : client) v += 0.25f;
-  const std::uint64_t decoded_before = counter_value("wire_codec.frames_decoded");
+  const std::uint64_t decoded_before = h.metrics.count("wire_codec.frames_decoded");
   h.submit_payload(1, 0,
                    encode_params_delta(w0, client, h.assimilator->commits()));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), decoded_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_decoded"), decoded_before + 1);
   const auto w1 = h.stored_params();
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(w1[i], 0.5f * w0[i] + 0.5f * client[i], 1e-6f);
@@ -194,13 +190,13 @@ TEST(ParamServerWire, RingMissedDeltaUploadIsDroppedNotMisapplied) {
   std::vector<float> foreign_base(w0.size(), 123.0f);
   std::vector<float> client = foreign_base;
   for (auto& v : client) v += 0.01f;
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
-  const std::uint64_t misses_before = counter_value("wire_codec.base_misses");
+  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
+  const std::uint64_t misses_before = h.metrics.count("wire_codec.base_misses");
   h.submit_payload(1, 0,
                    encode_params_delta(foreign_base, client, /*version=*/999));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before + 1);
-  EXPECT_EQ(counter_value("wire_codec.base_misses"), misses_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_dropped"), dropped_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.base_misses"), misses_before + 1);
   // Server params untouched; the result still validated + reported so the
   // epoch bookkeeping cannot stall on a dropped upload.
   EXPECT_EQ(h.stored_params(), w0);
@@ -227,12 +223,12 @@ TEST(ParamServerWire, ReplayReusedVersionIsHashMissNotWrongBaseHit) {
   h.assimilator->publish_initial(replayed);
   ASSERT_EQ(h.assimilator->commits(), 0u);  // version number reused
 
-  const std::uint64_t hits_before = counter_value("wire_codec.frames_decoded");
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
+  const std::uint64_t hits_before = h.metrics.count("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
   h.submit_payload(1, 0, in_flight);
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), hits_before);
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_decoded"), hits_before);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_dropped"), dropped_before + 1);
   EXPECT_EQ(h.stored_params(), replayed);
 }
 
@@ -243,12 +239,12 @@ TEST(ParamServerWire, RingMissedQ8UploadDegradesToUpdateApplication) {
   const std::vector<float> w0 = h.model.flat_params();
   std::vector<float> client = w0;
   for (auto& v : client) v += 0.25f;
-  const std::uint64_t misses_before = counter_value("wire_codec.base_misses");
+  const std::uint64_t misses_before = h.metrics.count("wire_codec.base_misses");
   // Right base params, aged-out version number: hash never gets checked
   // because the version lookup already misses.
   h.submit_payload(1, 0, encode_params_q8(w0, client, /*version=*/999));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.base_misses"), misses_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.base_misses"), misses_before + 1);
   const auto w1 = h.stored_params();
   // The uniform +0.25 diff quantizes exactly (every block has lo == hi), so
   // the fallback blend matches Eq. (1) up to float arithmetic.
@@ -285,13 +281,13 @@ TEST(ParamServerWire, EarlierReplicaBaseStaysPinnedAcrossRingChurn) {
 
   // Replica A's result arrives first and must decode bit-exact against the
   // still-pinned commit-0 base.
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
-  const std::uint64_t decoded_before = counter_value("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
+  const std::uint64_t decoded_before = h.metrics.count("wire_codec.frames_decoded");
   const std::vector<float> before = h.stored_params();
   h.submit_payload(42, 0, frame_a);
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before);
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), decoded_before + 1);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_dropped"), dropped_before);
+  EXPECT_EQ(h.metrics.count("wire_codec.frames_decoded"), decoded_before + 1);
   const auto w1 = h.stored_params();
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(w1[i], 0.5f * before[i] + 0.5f * client_a[i], 1e-6f);

@@ -30,6 +30,7 @@
 #include "storage/eventual_store.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -298,10 +299,6 @@ TEST(ShardPlane, MutationMisroutedBlendShiftsShardedDigest) {
 
 // --- Per-shard wire stats: set-equality vs the global counters --------------
 
-std::uint64_t counter_value(const std::string& name) {
-  return obs::registry().counter(name).value();
-}
-
 // Minimal assimilator rig (the test_param_server harness, plus a plan).
 struct ShardRig {
   SimEngine engine;
@@ -378,13 +375,10 @@ struct ShardRig {
 };
 
 // The fields of the wire-codec decode taxonomy, checked as a set (the
-// test_obs idiom): per-shard sums must equal the global counter deltas field
-// for field, for every shard count.
+// test_obs idiom): per-shard sums must equal the rig's registry counters
+// field for field, for every shard count.
 void expect_shard_stats_match_global(std::size_t shards, WireMode wire) {
-  const std::uint64_t decoded0 = counter_value("wire_codec.frames_decoded");
-  const std::uint64_t misses0 = counter_value("wire_codec.base_misses");
-  const std::uint64_t dropped0 = counter_value("wire_codec.frames_dropped");
-
+  testing::LocalRegistry reg;
   ShardRig rig(shards, wire);
   const std::vector<float> base = rig.model.flat_params();
   std::vector<float> target = base;
@@ -401,10 +395,9 @@ void expect_shard_stats_match_global(std::size_t shards, WireMode wire) {
   rig.engine.run();
 
   const std::map<std::string, std::uint64_t> global = {
-      {"frames_decoded", counter_value("wire_codec.frames_decoded") - decoded0},
-      {"base_misses", counter_value("wire_codec.base_misses") - misses0},
-      {"frames_dropped",
-       counter_value("wire_codec.frames_dropped") - dropped0},
+      {"frames_decoded", reg.count("wire_codec.frames_decoded")},
+      {"base_misses", reg.count("wire_codec.base_misses")},
+      {"frames_dropped", reg.count("wire_codec.frames_dropped")},
   };
   const auto& per_shard = rig.assimilator->shard_wire_stats();
   ASSERT_EQ(per_shard.size(), shards);
@@ -433,6 +426,7 @@ TEST(ShardPlane, ShardWireStatsSumToGlobalCountersSharded) {
 // Per-file pull accounting on the download side: the shard files' pull
 // stats must sum to the server-wide delta-protocol totals.
 TEST(ShardPlane, PerFilePullStatsSumToGlobalTotals) {
+  testing::LocalRegistry reg;
   FileServer files;
   files.set_wire_codec(WireMode::delta, 4);
   std::vector<float> v(512, 1.0f);
@@ -456,8 +450,8 @@ TEST(ShardPlane, PerFilePullStatsSumToGlobalTotals) {
     sum.bytes_delta_wire += fs.bytes_delta_wire;
     sum.bytes_delta_full += fs.bytes_delta_full;
   }
-  EXPECT_EQ(sum.delta_pulls, global.delta_pulls);
-  EXPECT_EQ(sum.delta_fallbacks, global.delta_fallbacks);
+  EXPECT_EQ(sum.delta_pulls, reg.count("file_server.delta_pulls"));
+  EXPECT_EQ(sum.delta_fallbacks, reg.count("file_server.delta_fallbacks"));
   EXPECT_EQ(sum.bytes_delta_wire, global.bytes_delta_wire);
   EXPECT_EQ(sum.bytes_delta_full, global.bytes_delta_full);
   EXPECT_EQ(sum.delta_pulls, 2u);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/report.hpp"
 #include "core/trainer.hpp"
@@ -227,6 +229,76 @@ TEST(TrainerIntegration, TimeseriesMlpWorkload) {
     EXPECT_GE(e.val_acc, 0.0);
     EXPECT_LE(e.val_acc, 1.0);
   }
+}
+
+// Every RunTotals field of one miniature run that exercises each accounting
+// path at once: transfer/store/corruption faults, a server crash with
+// checkpoint replay, preemption, consensus with adaptive replication, an
+// adversary, the blend guard and the delta codec. Pinned bit-exact, so a
+// change to how the totals are derived cannot move any of them unnoticed.
+TEST(TrainerIntegration, RunTotalsGoldenBitExact) {
+  ExperimentSpec spec = testing::tiny_image_spec();
+  spec.seed = 34;  // a seed on which every counted path fires at least once
+  spec.clients = 4;
+  spec.parameter_servers = 3;
+  spec.replication = 2;
+  spec.wire_codec = "delta";
+  spec.client_retry.max_attempts = 2;
+  spec.preemptible = true;
+  spec.interruption_per_hour = 6.0;
+  spec.preemption_downtime_s = 60.0;
+  spec.subtask_timeout_s = 240.0;
+  spec.faults.download.drop_prob = 0.10;
+  spec.faults.download.stall_prob = 0.10;
+  spec.faults.upload.drop_prob = 0.30;
+  spec.faults.corruption_prob = 0.05;
+  spec.faults.store.fail_prob = 0.10;
+  spec.faults.store.slow_prob = 0.10;
+  spec.faults.server_crashes = {150.0};
+  spec.faults.server_recovery_s = 30.0;
+  spec.checkpoint_interval_s = 60.0;
+  spec.consensus.enabled = true;
+  spec.consensus.quorum = 2;
+  spec.consensus.tolerance = 0.1;
+  spec.adaptive_replication = true;
+  spec.adaptive_untrusted_replication = 2;
+  spec.adaptive_spot_check_prob = 0.25;
+  spec.adversary.fraction = 1.0 / 3.0;
+  spec.adversary.mode = AttackMode::sign_flip;
+  spec.adversary.attack_prob = 0.5;
+  spec.blend_outlier_threshold = 1.0;
+  const RunTotals t = run_experiment(spec).totals;
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.duration_s), 0x4095ba4615f17dffull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.cost_standard_usd),
+            0x3fe083869d3bf637ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.cost_preemptible_usd),
+            0x3fc3d107efe18ddcull);
+  EXPECT_EQ(t.timeouts, 17u);
+  EXPECT_EQ(t.preemptions, 7u);
+  EXPECT_EQ(t.lost_updates, 1u);
+  EXPECT_EQ(t.store_reads, 40u);
+  EXPECT_EQ(t.store_writes, 16u);
+  EXPECT_EQ(t.cache_hits, 44u);
+  EXPECT_EQ(t.bytes_wire, 260256u);
+  EXPECT_EQ(t.bytes_uploaded, 178053u);
+  EXPECT_EQ(t.param_bytes_wire, 131780u);
+  EXPECT_EQ(t.param_bytes_full, 334753u);
+  EXPECT_EQ(t.delta_pulls, 34u);
+  EXPECT_EQ(t.duplicates, 1u);
+  EXPECT_EQ(t.parameter_count, 1962u);
+  EXPECT_EQ(t.transfer_failures, 18u);
+  EXPECT_EQ(t.abandoned_subtasks, 3u);
+  EXPECT_EQ(t.invalid_results, 3u);
+  EXPECT_EQ(t.server_crashes, 1u);
+  EXPECT_EQ(t.checkpoint_restores, 1u);
+  EXPECT_EQ(t.reissued_units, 1u);
+  EXPECT_EQ(t.byzantine_attacks, 4u);
+  EXPECT_EQ(t.consensus_quorums, 11u);
+  EXPECT_EQ(t.consensus_fallbacks, 6u);
+  EXPECT_EQ(t.results_outvoted, 2u);
+  EXPECT_EQ(t.blend_rejections, 2u);
+  EXPECT_EQ(t.spot_checks, 2u);
 }
 
 TEST(TrainerIntegration, MlpOnImagesWorksToo) {

@@ -19,6 +19,7 @@
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
+#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
@@ -303,6 +304,7 @@ Blob republished_blob(Rng& rng, const Blob& previous) {
 }
 
 TEST(FileServerPull, DeltaBilledWhenBaseInRing) {
+  testing::LocalRegistry reg;
   Rng rng(13);
   FileServer fs;
   fs.set_wire_codec(WireMode::delta, /*version_ring=*/4);
@@ -323,9 +325,9 @@ TEST(FileServerPull, DeltaBilledWhenBaseInRing) {
   // The acceptance bar: a delta pull costs under half the full blob.
   EXPECT_LT(second.wire_bytes * 2, fs.wire_size("params"));
 
+  EXPECT_EQ(reg.count("file_server.delta_pulls"), 1u);
+  EXPECT_EQ(reg.count("file_server.delta_fallbacks"), 0u);
   const auto& s = fs.stats();
-  EXPECT_EQ(s.delta_pulls, 1u);
-  EXPECT_EQ(s.delta_fallbacks, 0u);
   EXPECT_EQ(s.bytes_delta_full,
             first.wire_bytes + fs.wire_size("params"));
   EXPECT_EQ(s.bytes_delta_wire, first.wire_bytes + second.wire_bytes);
@@ -348,6 +350,7 @@ TEST(FileServerPull, SameVersionRepullIsNearlyFree) {
 }
 
 TEST(FileServerPull, AgedOutVersionFallsBackToFullBlob) {
+  testing::LocalRegistry reg;
   Rng rng(15);
   FileServer fs;
   fs.set_wire_codec(WireMode::delta, /*version_ring=*/2);
@@ -361,10 +364,11 @@ TEST(FileServerPull, AgedOutVersionFallsBackToFullBlob) {
   const auto stale = fs.pull("params", first.version);
   EXPECT_FALSE(stale.was_delta);
   EXPECT_EQ(stale.wire_bytes, fs.wire_size("params"));
-  EXPECT_EQ(fs.stats().delta_fallbacks, 1u);
+  EXPECT_EQ(reg.count("file_server.delta_fallbacks"), 1u);
 }
 
 TEST(FileServerPull, FullModeBillsExactlyLikeFetch) {
+  testing::LocalRegistry reg;
   Rng rng(16);
   FileServer fs;  // default codec: full
   fs.publish("params", param_blob(rng, 2000), true, true);
@@ -374,8 +378,8 @@ TEST(FileServerPull, FullModeBillsExactlyLikeFetch) {
   EXPECT_FALSE(b.was_delta);
   EXPECT_EQ(a.wire_bytes, fs.wire_size("params"));
   EXPECT_EQ(b.wire_bytes, fs.wire_size("params"));
-  EXPECT_EQ(fs.stats().delta_pulls, 0u);
-  EXPECT_EQ(fs.stats().bytes_wire, 2 * fs.wire_size("params"));
+  EXPECT_EQ(reg.count("file_server.delta_pulls"), 0u);
+  EXPECT_EQ(reg.count("file_server.bytes_wire"), 2 * fs.wire_size("params"));
 }
 
 // Satellite regression: fetch()/pull() payloads are version-pinned. Before
