@@ -38,11 +38,11 @@ struct VersionedValue {
 struct StoreStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  /// Writes (put with a non-zero read_version) that clobbered a version the
-  /// writer had not seen — the racing writer's update is lost. Both stores
-  /// count this: on the eventual store it is the accepted §III-D race, on
-  /// the strong store it flags a get→put misuse of an API whose atomic path
-  /// is update().
+  /// Versions that puts with a stale read_version overwrote unseen
+  /// (clobbered_versions) — the racing writers' updates are lost. Both
+  /// stores count this: on the eventual store it is the accepted §III-D
+  /// race, on the strong store it flags a get→put misuse of an API whose
+  /// atomic path is update().
   std::uint64_t lost_updates = 0;
   /// StrongStore: lock acquisitions that had to wait.
   std::uint64_t contended_updates = 0;
@@ -67,6 +67,18 @@ struct AtomicStoreStats {
     return s;
   }
 };
+
+/// Versions a write based on `read_version` overwrites unseen — the lost
+/// updates it charges. A stale write clobbers every version after the one
+/// it read, so the charge is the whole span: exact along the version chain,
+/// an upper bound on the increments actually lost. Blind writes
+/// (read_version 0) never lose anything; a slot older than the read (the
+/// key was erased and rewritten since) charges one.
+inline std::uint64_t clobbered_versions(std::uint64_t slot_version,
+                                        std::uint64_t read_version) {
+  if (read_version == 0 || slot_version == read_version) return 0;
+  return slot_version > read_version ? slot_version - read_version : 1;
+}
 
 /// Registry handles shared by both store flavors: an experiment runs one
 /// store at a time, and the snapshot should not care which flavor produced

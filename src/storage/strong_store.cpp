@@ -32,9 +32,9 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
   // get→put against this store races exactly like on the eventual store, so
   // a stale read_version is counted instead of silently discarded: the
   // misuse is observable in stats() and "store.lost_updates".
-  if (read_version != 0 && slot.version != read_version) {
-    stats_.lost_updates.fetch_add(1, std::memory_order_relaxed);
-    metrics_.lost_updates.inc();
+  if (const auto lost = clobbered_versions(slot.version, read_version)) {
+    stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
+    metrics_.lost_updates.inc(lost);
   }
   slot.value = std::move(value);
   return ++slot.version;

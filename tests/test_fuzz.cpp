@@ -244,8 +244,9 @@ TEST(Fuzz, DecompressNeverCrashesOnGarbage) {
 //
 // Random get/put/update/erase sequences against BOTH store kinds, mirrored
 // into an exact shadow model of the documented semantics — versions bump on
-// every write, EventualStore counts a lost update whenever a write's
-// read_version is stale, StrongStore never loses anything.
+// every write, a put with a stale read_version charges every version it
+// overwrote unseen (here at most one writer interleaves, so one), and
+// StrongStore's update() never loses anything.
 
 TEST(Fuzz, StoreMatchesShadowModelUnderRandomOps) {
   PropConfig cfg;
@@ -435,9 +436,9 @@ TEST(Fuzz, ConcurrentEventualStoreCountsEveryLostIncrement) {
   EXPECT_EQ(final_value->version, total + 1);  // +1 for the seed put
   EXPECT_LE(counted, total);
   // An increment is visible in the final counter only if its read saw every
-  // prior write in its chain; each invisible one must have been counted as a
-  // lost update. (≥, not ==: a lost update can itself clobber several
-  // predecessors yet the store charges one per stale write.)
+  // prior write in its chain; each invisible one was overwritten unseen by a
+  // write of the final chain, which charged it. (≥, not ==: stale writes
+  // that were clobbered in turn also charged the versions they skipped.)
   EXPECT_GE(store->stats().lost_updates, total - counted);
 }
 
