@@ -57,8 +57,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # test_kernels runs the scalar-vs-SIMD equivalence properties with whatever
 # vector tier the host dispatches (plus a shared 4-thread pool), so the TSan
 # stage exercises the packed-panel sharing and caller-participation paths
-# with SIMD enabled — not just the scalar fallback.
-TSAN_REGEX="${VCDL_TSAN_REGEX:-test_thread_pool|test_tensor|test_nn_layers|test_nn_model|test_exec_threading|test_kernels|test_obs|test_wire_codec|test_consensus|test_shard_plane|test_fleet}"
+# with SIMD enabled — not just the scalar fallback. test_obs runs two
+# training runs on two threads at once (per-run registries); test_storage
+# hammers both stores' put/update from real threads.
+TSAN_REGEX="${VCDL_TSAN_REGEX:-test_thread_pool|test_tensor|test_nn_layers|test_nn_model|test_exec_threading|test_kernels|test_obs|test_storage|test_wire_codec|test_consensus|test_shard_plane|test_fleet}"
 # Explicit status propagation: the TSan ctest is the last command, but making
 # the exit code visible keeps the contract obvious (and ci/test_ci_scripts.sh
 # asserts a failing stage fails the script).

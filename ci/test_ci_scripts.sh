@@ -58,8 +58,8 @@ check "failing test status propagates" \
 # 5. The suites the TSan stage targets by default actually exist in this
 #    build, so the regex can never silently select nothing.
 for suite in test_thread_pool test_tensor test_nn_layers test_nn_model \
-             test_exec_threading test_kernels test_obs test_wire_codec \
-             test_consensus test_shard_plane test_fleet; do
+             test_exec_threading test_kernels test_obs test_storage \
+             test_wire_codec test_consensus test_shard_plane test_fleet; do
   check "tsan target ${suite} registered" \
     bash -c "ctest --test-dir '${BUILD_DIR}' -N -R '^${suite}\$' \
                2>/dev/null | grep -q 'Total Tests: 1'"
@@ -86,6 +86,14 @@ check "sanitize.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_fleet"
 check "soak.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^export VCDL_TSAN_REGEX=' ci/soak.sh | grep -q test_fleet"
+
+# The obs suite runs two trainers on two threads at once (each run owns its
+# registry) and the storage suite drives both stores' put/update from real
+# threads: the sanitize.sh TSan stage must keep both.
+check "sanitize.sh tsan regex includes test_obs" \
+  bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_obs"
+check "sanitize.sh tsan regex includes test_storage" \
+  bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_storage"
 
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"

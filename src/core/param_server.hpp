@@ -65,8 +65,8 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   };
 
   /// Per-shard upload wire-codec accounting. Across all shards these sum to
-  /// the assimilator's wire_codec.* registry counters — the set-equality invariant
-  /// tests/test_shard_plane.cpp holds at every shard count.
+  /// the assimilator's wire_codec.* registry counters — the set-equality
+  /// invariant tests/test_shard_plane.cpp holds at every shard count.
   struct ShardWireStats {
     std::uint64_t frames_decoded = 0;
     std::uint64_t base_misses = 0;

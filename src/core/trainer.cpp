@@ -406,11 +406,11 @@ TrainResult VcTrainer::run() {
       engine.schedule(spec_.faults.server_recovery_s, [&] {
         if (!running) return;
         if (checkpointer.restore()) {
+          const auto crashes = metrics.counter("faults.server_crash").value();
           trace_.record(engine.now(), TraceKind::checkpoint_restored,
                         "checkpointer",
                         "replayed snapshot after crash #" +
-                            std::to_string(
-                                metrics.counter("faults.server_crash").value()));
+                            std::to_string(crashes));
         }
         server.restore();
       });

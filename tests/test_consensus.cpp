@@ -21,12 +21,11 @@
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
 #include "grid/test_hooks.hpp"
-#include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "testing/generators.hpp"
+#include "testing/local_registry.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
-#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {

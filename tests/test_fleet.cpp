@@ -28,9 +28,9 @@
 #include "grid/scheduler.hpp"
 #include "grid/test_hooks.hpp"
 #include "sim/engine.hpp"
+#include "testing/local_registry.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
-#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {

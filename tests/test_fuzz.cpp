@@ -23,8 +23,8 @@
 #include "sim/engine.hpp"
 #include "storage/kvstore.hpp"
 #include "testing/generators.hpp"
-#include "testing/prop.hpp"
 #include "testing/local_registry.hpp"
+#include "testing/prop.hpp"
 
 namespace vcdl {
 namespace {

@@ -8,7 +8,6 @@
 #include "data/synthetic.hpp"
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
-#include "obs/metrics.hpp"
 #include "storage/eventual_store.hpp"
 #include "storage/strong_store.hpp"
 #include "testing/local_registry.hpp"
@@ -167,7 +166,8 @@ TEST(ParamServerWire, RingedDeltaFrameBlendsBitExact) {
   const std::vector<float> w0 = h.model.flat_params();
   std::vector<float> client = w0;
   for (auto& v : client) v += 0.25f;
-  const std::uint64_t decoded_before = h.metrics.count("wire_codec.frames_decoded");
+  const std::uint64_t decoded_before =
+      h.metrics.count("wire_codec.frames_decoded");
   h.submit_payload(1, 0,
                    encode_params_delta(w0, client, h.assimilator->commits()));
   h.engine.run();
@@ -190,7 +190,8 @@ TEST(ParamServerWire, RingMissedDeltaUploadIsDroppedNotMisapplied) {
   std::vector<float> foreign_base(w0.size(), 123.0f);
   std::vector<float> client = foreign_base;
   for (auto& v : client) v += 0.01f;
-  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
+  const std::uint64_t dropped_before =
+      h.metrics.count("wire_codec.frames_dropped");
   const std::uint64_t misses_before = h.metrics.count("wire_codec.base_misses");
   h.submit_payload(1, 0,
                    encode_params_delta(foreign_base, client, /*version=*/999));
@@ -223,8 +224,10 @@ TEST(ParamServerWire, ReplayReusedVersionIsHashMissNotWrongBaseHit) {
   h.assimilator->publish_initial(replayed);
   ASSERT_EQ(h.assimilator->commits(), 0u);  // version number reused
 
-  const std::uint64_t hits_before = h.metrics.count("wire_codec.frames_decoded");
-  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
+  const std::uint64_t hits_before =
+      h.metrics.count("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before =
+      h.metrics.count("wire_codec.frames_dropped");
   h.submit_payload(1, 0, in_flight);
   h.engine.run();
   EXPECT_EQ(h.metrics.count("wire_codec.frames_decoded"), hits_before);
@@ -281,8 +284,10 @@ TEST(ParamServerWire, EarlierReplicaBaseStaysPinnedAcrossRingChurn) {
 
   // Replica A's result arrives first and must decode bit-exact against the
   // still-pinned commit-0 base.
-  const std::uint64_t dropped_before = h.metrics.count("wire_codec.frames_dropped");
-  const std::uint64_t decoded_before = h.metrics.count("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before =
+      h.metrics.count("wire_codec.frames_dropped");
+  const std::uint64_t decoded_before =
+      h.metrics.count("wire_codec.frames_decoded");
   const std::vector<float> before = h.stored_params();
   h.submit_payload(42, 0, frame_a);
   h.engine.run();

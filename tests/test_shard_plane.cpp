@@ -26,11 +26,10 @@
 #include "data/synthetic.hpp"
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
-#include "obs/metrics.hpp"
 #include "storage/eventual_store.hpp"
+#include "testing/local_registry.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
-#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {

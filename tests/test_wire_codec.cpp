@@ -17,9 +17,9 @@
 #include "grid/file_server.hpp"
 #include "nn/model_io.hpp"
 #include "testing/generators.hpp"
+#include "testing/local_registry.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
-#include "testing/local_registry.hpp"
 
 namespace vcdl {
 namespace {
