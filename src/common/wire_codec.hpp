@@ -113,7 +113,7 @@ WireFrame read_frame_header(const Blob& payload);
 /// size mismatch. Deterministic for both modes. Does NOT require `base` to
 /// match the frame's `base_hash`: the caller decides whether a different
 /// base is acceptable (it is for q8's float-space diffs, never for delta's
-/// bit-space diffs — see VcAsgdAssimilator::decode_payload).
+/// bit-space diffs — see VcAsgdAssimilator::decode_upload).
 std::vector<float> decode_params(const Blob& payload,
                                  std::span<const float> base);
 

@@ -42,21 +42,15 @@ void VcAsgdAssimilator::publish_initial(const std::vector<float>& params) {
     files_.publish(shard_key(s), std::move(blob), /*compress=*/true,
                    /*delta_capable=*/options_.wire_mode != WireMode::full);
   }
-  if (options_.wire_mode != WireMode::full) {
-    // Checkpoint replay re-enters here with rewound params while commits_
-    // stays put; clear the rings so no stale pre-crash base survives under
-    // its old version number. Future commits will *reuse* those version
-    // numbers with different params — which is why ring hits also compare
-    // the frame's base_hash: a pre-crash upload whose base_version matches
-    // a post-replay entry hash-misses and takes the ring-miss path instead
-    // of silently decoding against the wrong base.
-    for (std::size_t s = 0; s < plan_.shards(); ++s) {
-      const auto slice = plan_.view(std::span<const float>(published_), s);
-      base_rings_[s].clear();
-      base_rings_[s][commits_] = {params_hash(slice),
-                                  {slice.begin(), slice.end()}};
-    }
-  }
+  // Checkpoint replay re-enters here with rewound params while commits_
+  // stays put; clear the rings so no stale pre-crash base survives under its
+  // old version number. Future commits will *reuse* those version numbers
+  // with different params — which is why ring hits also compare the frame's
+  // base_hash: a pre-crash upload whose base_version matches a post-replay
+  // entry hash-misses and takes the ring-miss path instead of silently
+  // decoding against the wrong base.
+  for (auto& ring : base_rings_) ring.clear();
+  remember_base();
 }
 
 SimTime VcAsgdAssimilator::validation_time() const {
@@ -133,69 +127,60 @@ void VcAsgdAssimilator::remember_base() {
   }
 }
 
-std::optional<std::vector<float>> VcAsgdAssimilator::decode_payload(
-    const Blob& payload) {
-  if (is_shard_bundle(payload)) return decode_bundle(payload);
-  if (!is_wire_frame(payload)) return load_params(payload);
-  const WireFrame frame = read_frame_header(payload);
-  const auto& ring = base_rings_[0];
-  const auto it = ring.find(frame.base_version);
-  if (it != ring.end() && it->second.hash == frame.base_hash) {
-    metrics_.frames_decoded.inc();
-    ++shard_stats_[0].frames_decoded;
-    return decode_params(payload, it->second.params);
+std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
+    const Blob& payload, std::vector<ShardWireStats>* tally) const {
+  const bool bundled = is_shard_bundle(payload);
+  if (!bundled && !is_wire_frame(payload)) return load_params(payload);
+  std::vector<Blob> bundle;
+  if (bundled) {
+    bundle = unpack_shard_frames(payload);
+    if (bundle.size() != plan_.shards()) {
+      // A bundle from a different plan (or a sabotaged client) cannot be
+      // routed; drop it like a ring-missed delta.
+      if (tally != nullptr) metrics_.frames_dropped.inc();
+      return std::nullopt;
+    }
   }
-  metrics_.base_misses.inc();
-  ++shard_stats_[0].base_misses;
-  if (frame.mode == WireMode::delta) {
-    // Lossless deltas are zigzag diffs of the floats' *bit patterns*;
-    // decoded against anything but their exact encode base they become
-    // arbitrary floats (NaN/Inf included), so a ring miss drops the upload
-    // rather than poisoning the blend.
-    metrics_.frames_dropped.inc();
-    ++shard_stats_[0].frames_dropped;
-    return std::nullopt;
-  }
-  // q8 diffs live in float space, so against the current published copy the
-  // decode degrades to plain update application.
-  return decode_params(payload, published_);
-}
-
-std::optional<std::vector<float>> VcAsgdAssimilator::decode_bundle(
-    const Blob& payload) {
-  const std::vector<Blob> parts = unpack_shard_frames(payload);
-  if (parts.size() != plan_.shards()) {
-    // A bundle from a different plan (or a sabotaged client) cannot be
-    // routed; drop it like a ring-missed delta.
-    metrics_.frames_dropped.inc();
-    return std::nullopt;
-  }
-  std::vector<float> out(plan_.total());
+  // A bare frame is the one-part case: the whole vector, base_rings_[0].
+  const std::span<const Blob> parts = bundled
+                                          ? std::span<const Blob>(bundle)
+                                          : std::span<const Blob>(&payload, 1);
+  std::vector<float> out(bundled ? plan_.total() : 0);
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const WireFrame frame = read_frame_header(parts[s]);
-    const auto dst = plan_.view(std::span<float>(out), s);
     const auto& ring = base_rings_[s];
     const auto it = ring.find(frame.base_version);
-    std::vector<float> slice;
+    std::span<const float> base;
     if (it != ring.end() && it->second.hash == frame.base_hash) {
-      metrics_.frames_decoded.inc();
-      ++shard_stats_[s].frames_decoded;
-      slice = decode_params(parts[s], it->second.params);
+      if (tally != nullptr) {
+        metrics_.frames_decoded.inc();
+        ++(*tally)[s].frames_decoded;
+      }
+      base = it->second.params;
     } else {
+      // Peek: no speculative fallback decode — an undecodable replica must
+      // stay incomparable, not coincidentally match.
+      if (tally == nullptr) return std::nullopt;
       metrics_.base_misses.inc();
-      ++shard_stats_[s].base_misses;
+      ++(*tally)[s].base_misses;
       if (frame.mode == WireMode::delta) {
-        // One undecodable bit-space part poisons the concatenated vector;
-        // the whole upload is dropped, mirroring the monolithic ring miss.
+        // Lossless deltas are zigzag diffs of the floats' *bit patterns*;
+        // decoded against anything but their exact encode base they become
+        // arbitrary floats (NaN/Inf included), so a ring miss drops the
+        // whole upload rather than poisoning the blend.
         metrics_.frames_dropped.inc();
-        ++shard_stats_[s].frames_dropped;
+        ++(*tally)[s].frames_dropped;
         return std::nullopt;
       }
-      slice = decode_params(
-          parts[s], plan_.view(std::span<const float>(published_), s));
+      // q8 diffs live in float space, so against the current published copy
+      // the decode degrades to plain update application.
+      base = bundled ? plan_.view(std::span<const float>(published_), s)
+                     : std::span<const float>(published_);
     }
-    VCDL_CHECK(slice.size() == dst.size(),
-               "decode_bundle: shard slice size mismatch");
+    std::vector<float> slice = decode_params(parts[s], base);
+    if (!bundled) return slice;
+    const auto dst = plan_.view(std::span<float>(out), s);
+    if (slice.size() != dst.size()) return std::nullopt;
     std::copy(slice.begin(), slice.end(), dst.begin());
   }
   return out;
@@ -203,78 +188,79 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_bundle(
 
 std::optional<std::vector<float>> VcAsgdAssimilator::peek_decode(
     const Blob& payload) const {
-  if (is_shard_bundle(payload)) {
-    // Consensus equivalence for sharded uploads: every part must ring-hit
-    // (no speculative fallback), else the replica stays incomparable.
-    const std::vector<Blob> parts = unpack_shard_frames(payload);
-    if (parts.size() != plan_.shards()) return std::nullopt;
-    std::vector<float> out(plan_.total());
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      const WireFrame frame = read_frame_header(parts[s]);
-      const auto& ring = base_rings_[s];
-      const auto it = ring.find(frame.base_version);
-      if (it == ring.end() || it->second.hash != frame.base_hash) {
-        return std::nullopt;
-      }
-      const std::vector<float> slice =
-          decode_params(parts[s], it->second.params);
-      const auto dst = plan_.view(std::span<float>(out), s);
-      if (slice.size() != dst.size()) return std::nullopt;
-      std::copy(slice.begin(), slice.end(), dst.begin());
-    }
-    return out;
-  }
-  if (!is_wire_frame(payload)) return load_params(payload);
-  const WireFrame frame = read_frame_header(payload);
-  const auto& ring = base_rings_[0];
-  const auto it = ring.find(frame.base_version);
-  if (it != ring.end() && it->second.hash == frame.base_hash) {
-    return decode_params(payload, it->second.params);
-  }
-  // No speculative fallback decode here (unlike decode_payload): an
-  // undecodable replica must stay incomparable, not coincidentally match.
-  return std::nullopt;
+  return decode_upload(payload, nullptr);
 }
 
-std::optional<std::vector<float>> VcAsgdAssimilator::guarded_decode(
-    const ResultEnvelope& env, const std::vector<float>& server_params) {
-  std::optional<std::vector<float>> client_params = decode_payload(env.payload);
-  if (client_params.has_value() &&
-      blend_outlier(server_params, *client_params,
+bool VcAsgdAssimilator::blend(const ResultEnvelope& env,
+                              std::vector<float>& server_params,
+                              double alpha) {
+  const std::optional<std::vector<float>> client_params =
+      decode_upload(env.payload, &shard_stats_);
+  if (!client_params.has_value()) return false;
+  if (blend_outlier(server_params, *client_params,
                     options_.blend_outlier_threshold)) {
     trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
                   env.unit.label() + " client-" + std::to_string(env.client));
-    client_params.reset();
+    return false;
   }
-  return client_params;
+  // Eq. (1) routed per shard slice — elementwise, so the concatenation of
+  // the shard blends is bit-identical to one full-span blend (the
+  // cross-shard property in tests/test_shard_plane.cpp).
+  for (std::size_t s = 0; s < plan_.shards(); ++s) {
+    if (shard_hooks::misroute_blend && s == 0) continue;
+    vcasgd_update(plan_.view(std::span<float>(server_params), s),
+                  plan_.view(std::span<const float>(*client_params), s),
+                  alpha);
+  }
+  return true;
+}
+
+void VcAsgdAssimilator::settle(
+    WorkunitId unit, bool applied, const std::vector<float>& params,
+    const std::vector<std::uint64_t>& read_versions) {
+  // Dropping every replica's pin here is safe because the grid server
+  // retires the unit on its first valid result (Scheduler::report_result)
+  // and later duplicates never reach assimilate() — no further decode for
+  // this unit can occur. The pins go before the commit prunes the ring.
+  const auto it = exec_base_.find(unit);
+  if (it != exec_base_.end()) {
+    if (applied) {
+      metrics_.gradient_age.observe(
+          static_cast<double>(commits_ - it->second.back()));
+    }
+    exec_base_.erase(it);
+  }
+  // A dropped upload (ring-missed lossless delta or a blend-guard
+  // rejection) is not committed, but the unit is already retired at the
+  // scheduler, so the pipeline still validates (the unchanged params) and
+  // reports — an abandoned chain would stall the epoch.
+  if (applied) commit(params, read_versions);
+}
+
+void VcAsgdAssimilator::validate_and_report(
+    const std::shared_ptr<ResultEnvelope>& env,
+    const std::shared_ptr<std::function<void()>>& done,
+    const std::vector<float>& params, std::uint64_t gen) {
+  // Real forward passes over the committed copy, virtual duration.
+  eval_model_.set_flat_params(params);
+  const double acc = evaluate_accuracy_subsample(
+      eval_model_, validation_, options_.validation_subsample, rng_, exec_);
+  engine_.schedule(validation_time(), [this, env, done, acc, gen] {
+    if (server_.generation() != gen) return;
+    on_assimilated_(env->unit.epoch, acc);
+    (*done)();
+  });
 }
 
 void VcAsgdAssimilator::note_exec_base(WorkunitId unit) {
   exec_base_[unit].push_back(commits_);
 }
 
-void VcAsgdAssimilator::observe_gradient_age(WorkunitId unit) {
-  const auto it = exec_base_.find(unit);
-  if (it == exec_base_.end()) return;  // trainer did not record this unit
-  metrics_.gradient_age.observe(
-      static_cast<double>(commits_ - it->second.back()));
-  // Dropping every replica's pin here is safe because the grid server
-  // retires the unit on its first valid result (Scheduler::report_result)
-  // and later duplicates never reach assimilate() — no further decode for
-  // this unit can occur.
-  exec_base_.erase(it);
-}
-
-void VcAsgdAssimilator::release_exec_base(WorkunitId unit) {
-  exec_base_.erase(unit);
-}
-
 void VcAsgdAssimilator::assimilate(ResultEnvelope env, std::size_t ps_index,
                                    std::function<void()> on_done) {
-  auto shared_env = std::make_shared<ResultEnvelope>(std::move(env));
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  try_assimilate(std::move(shared_env), std::move(done), ps_index,
-                 /*attempt=*/0);
+  try_assimilate(std::make_shared<ResultEnvelope>(std::move(env)),
+                 std::make_shared<std::function<void()>>(std::move(on_done)),
+                 ps_index, /*attempt=*/0);
 }
 
 void VcAsgdAssimilator::try_assimilate(
@@ -314,13 +300,12 @@ void VcAsgdAssimilator::try_assimilate(
   }
 
   const double alpha = schedule_.alpha(env->unit.epoch);
-  const auto shared_env = env;
 
   if (store_.kind() == "strong") {
     // MySQL-like: the read-blend-write is one serializable transaction; the
     // virtual lock makes concurrent workers queue, then each pays the full
     // 1.29 s update latency. Validation happens outside the transaction.
-    txn_lock_.acquire([this, shared_env, done, alpha, gen, latency_factor] {
+    txn_lock_.acquire([this, env, done, alpha, gen, latency_factor] {
       if (server_.generation() != gen) {
         txn_lock_.release();
         return;
@@ -331,48 +316,17 @@ void VcAsgdAssimilator::try_assimilate(
                                     latency_factor);
       engine_.schedule(
           store_.latency().update_s() * latency_factor,
-          [this, shared_env, done, alpha, gen] {
+          [this, env, done, alpha, gen] {
             if (server_.generation() != gen) {
               txn_lock_.release();
               return;
             }
             std::vector<std::uint64_t> read_versions;
             std::vector<float> server_params = read_shards(read_versions);
-            const std::optional<std::vector<float>> client_params =
-                guarded_decode(*shared_env, server_params);
-            if (client_params.has_value()) {
-              // Eq. (1) routed per shard slice — elementwise, so the
-              // concatenation of the shard blends is bit-identical to one
-              // full-span blend (the cross-shard property in
-              // tests/test_shard_plane.cpp).
-              for (std::size_t s = 0; s < plan_.shards(); ++s) {
-                if (shard_hooks::misroute_blend && s == 0) continue;
-                vcasgd_update(
-                    plan_.view(std::span<float>(server_params), s),
-                    plan_.view(std::span<const float>(*client_params), s),
-                    alpha);
-              }
-              observe_gradient_age(shared_env->unit.id);
-              commit(server_params, read_versions);
-            } else {
-              // Ring-missed lossless delta: the upload is dropped, but the
-              // unit is already retired at the scheduler, so the pipeline
-              // still validates (the unchanged params) and reports — an
-              // abandoned chain would stall the epoch.
-              release_exec_base(shared_env->unit.id);
-            }
+            const bool applied = blend(*env, server_params, alpha);
+            settle(env->unit.id, applied, server_params, read_versions);
             txn_lock_.release();
-            // Validation of the committed parameters.
-            eval_model_.set_flat_params(server_params);
-            const double acc = evaluate_accuracy_subsample(
-                eval_model_, validation_, options_.validation_subsample, rng_,
-                exec_);
-            engine_.schedule(validation_time(),
-                             [this, shared_env, done, acc, gen] {
-                               if (server_.generation() != gen) return;
-                               on_assimilated_(shared_env->unit.epoch, acc);
-                               (*done)();
-                             });
+            validate_and_report(env, done, server_params, gen);
           });
     });
     return;
@@ -389,50 +343,18 @@ void VcAsgdAssimilator::try_assimilate(
   metrics_.alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
   engine_.schedule(
       store_.latency().read_s * latency_factor,
-      [this, shared_env, done, alpha, gen, latency_factor] {
+      [this, env, done, alpha, gen, latency_factor] {
         if (server_.generation() != gen) return;
         auto read_versions = std::make_shared<std::vector<std::uint64_t>>();
         auto server_params =
             std::make_shared<std::vector<float>>(read_shards(*read_versions));
-        const std::optional<std::vector<float>> client_params =
-            guarded_decode(*shared_env, *server_params);
-        // A dropped upload (ring-missed lossless delta or a blend-guard
-        // rejection) skips the blend and the commit but still flows through
-        // validation + reporting: the unit is already retired at the
-        // scheduler.
-        const bool applied = client_params.has_value();
-        if (applied) {
-          // Eq. (1) per shard slice (see the strong path above).
-          for (std::size_t s = 0; s < plan_.shards(); ++s) {
-            if (shard_hooks::misroute_blend && s == 0) continue;
-            vcasgd_update(
-                plan_.view(std::span<float>(*server_params), s),
-                plan_.view(std::span<const float>(*client_params), s), alpha);
-          }
-        }
+        const bool applied = blend(*env, *server_params, alpha);
         engine_.schedule(
             store_.latency().write_s * latency_factor,
-            [this, shared_env, done, server_params, read_versions, applied,
-             gen] {
+            [this, env, done, server_params, read_versions, applied, gen] {
               if (server_.generation() != gen) return;
-              if (applied) {
-                observe_gradient_age(shared_env->unit.id);
-                commit(*server_params, *read_versions);
-              } else {
-                release_exec_base(shared_env->unit.id);
-              }
-              // Validate the committed copy (real forward passes, virtual
-              // duration).
-              eval_model_.set_flat_params(*server_params);
-              const double acc = evaluate_accuracy_subsample(
-                  eval_model_, validation_, options_.validation_subsample,
-                  rng_, exec_);
-              engine_.schedule(validation_time(),
-                               [this, shared_env, done, acc, gen] {
-                                 if (server_.generation() != gen) return;
-                                 on_assimilated_(shared_env->unit.epoch, acc);
-                                 (*done)();
-                               });
+              settle(env->unit.id, applied, *server_params, *read_versions);
+              validate_and_report(env, done, *server_params, gen);
             });
       });
 }

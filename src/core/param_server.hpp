@@ -42,7 +42,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
     double validate_work = 110.0;          // abstract compute per validation
     std::size_t validation_subsample = 128;
     std::size_t ps_threads = 2;            // vCPUs one validation can use
-    std::string params_key = "params";
     /// Wire codec for parameter traffic (common/wire_codec.hpp). With a
     /// non-`full` mode, the parameter file is published delta-capable and
     /// client uploads arrive as frames decoded against the base ring.
@@ -57,7 +56,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
     /// survive (or bypass) replica consensus. 0 disables the guard.
     double blend_outlier_threshold = 0.0;
     /// Sharded parameter plane (core/shard_plan.hpp): each shard gets its
-    /// own store key ("<params_key>/<i>"), parameter file, version ring and
+    /// own store key ("params/<i>"), parameter file, version ring and
     /// wire-codec base ring; the VC-ASGD blend and the commit run per shard
     /// slice. An empty plan (default) means one monolithic shard — store
     /// keys, traces and metrics identical to the pre-shard plane.
@@ -107,10 +106,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// All shards commit in lockstep, so one counter covers the whole plane.
   std::uint64_t commits() const { return commits_; }
 
-  /// The resolved slicing (Options::plan, or the one-slice plan inferred at
-  /// publish_initial for a monolithic configuration).
-  const ShardPlan& plan() const { return plan_; }
-
   /// Per-shard upload decode counters, indexed by shard.
   const std::vector<ShardWireStats>& shard_wire_stats() const {
     return shard_stats_;
@@ -136,7 +131,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   SimTime validation_time() const;
   /// Store key / file name for shard `s` ("params" on a one-shard plan).
   std::string shard_key(std::size_t s) const {
-    return plan_.shard_key(options_.params_key, s);
+    return plan_.shard_key("params", s);
   }
   /// Synchronously reads every shard's store value into one full vector.
   /// The per-shard KvStore calls happen inside a single virtual-time read
@@ -147,42 +142,45 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// advances the lockstep commit counter once.
   void commit(const std::vector<float>& params,
               const std::vector<std::uint64_t>& read_versions);
-  /// Observes gradient age for `unit` (if its exec base was recorded) just
-  /// before its blend commits, then releases the unit's base-ring pins.
-  void observe_gradient_age(WorkunitId unit);
-  /// Releases `unit`'s base-ring pins without observing an age — the path
-  /// for uploads that were dropped rather than blended.
-  void release_exec_base(WorkunitId unit);
   /// One assimilation attempt; reschedules itself on injected store failures.
   void try_assimilate(std::shared_ptr<ResultEnvelope> env,
                       std::shared_ptr<std::function<void()>> done,
                       std::size_t ps_index, std::size_t attempt);
-  /// Decodes an uploaded payload: full parameter blobs pass through
-  /// load_params; wire frames are decoded against the base version the
-  /// client trained from (base ring, guarded by the frame's base_hash so a
-  /// checkpoint replay that reuses version numbers can never supply the
-  /// wrong base). On a ring miss the two modes diverge:
+  /// Decodes an uploaded payload — the one per-part loop behind the blend
+  /// and peek_decode. Full parameter blobs pass through load_params. A
+  /// shard bundle decodes part s into plan_.view(s) against base_rings_[s];
+  /// a bare wire frame is the one-part case (the whole vector against
+  /// base_rings_[0]). A ring hit needs the frame's base_version *and*
+  /// base_hash, so a checkpoint replay that reuses version numbers can never
+  /// supply the wrong base. With `tally` (the blend path) every part is
+  /// counted there and in the wire_codec.* counters, and on a ring miss the
+  /// two modes diverge:
   ///  * q8 frames carry *float-space* diffs, so applying them to the
-  ///    current published copy degrades to plain update application
-  ///    (counted, deterministic);
+  ///    published copy degrades to plain update application;
   ///  * lossless delta frames carry *bit-space* word diffs — against any
-  ///    other base they decode to arbitrary floats — so the upload is
-  ///    dropped (nullopt, counted in wire_codec.frames_dropped) and the
-  ///    caller skips the blend.
-  std::optional<std::vector<float>> decode_payload(const Blob& payload);
-  /// Decodes a sharded upload (one frame per shard, wire_codec shard
-  /// bundle): each part resolves against its own shard's base ring. A
-  /// ring-missed lossless delta drops the whole upload; a ring-missed q8
-  /// part degrades to the published slice, like the monolithic path.
-  std::optional<std::vector<float>> decode_bundle(const Blob& payload);
-  /// decode_payload plus the blend outlier guard: a decoded copy that
-  /// deviates from `server_params` beyond blend_outlier_threshold comes back
-  /// as nullopt (traced, counted) and the caller takes the dropped-upload
-  /// path.
-  std::optional<std::vector<float>> guarded_decode(
-      const ResultEnvelope& env, const std::vector<float>& server_params);
-  /// Records the just-committed published copy in the base ring and prunes
-  /// versions no in-flight unit is pinned to.
+  ///    other base they decode to arbitrary floats — so the whole upload is
+  ///    dropped (nullopt, counted in wire_codec.frames_dropped).
+  /// A bundle whose part count differs from the plan is dropped too.
+  /// Without `tally` (peek) nothing is counted and any miss is nullopt.
+  std::optional<std::vector<float>> decode_upload(
+      const Blob& payload, std::vector<ShardWireStats>* tally) const;
+  /// Decodes `env`'s upload and applies Eq. (1) to `server_params`; false
+  /// when the upload was dropped (undecodable, or rejected by the blend
+  /// outlier guard — traced) and `server_params` is unchanged.
+  bool blend(const ResultEnvelope& env, std::vector<float>& server_params,
+             double alpha);
+  /// After the store write lands: releases `unit`'s base-ring pins and, for
+  /// an applied blend, observes its gradient age (if its exec base was
+  /// recorded) and commits.
+  void settle(WorkunitId unit, bool applied, const std::vector<float>& params,
+              const std::vector<std::uint64_t>& read_versions);
+  /// Validates `params` and reports the result after the modeled
+  /// validation time, unless the server crashed since generation `gen`.
+  void validate_and_report(const std::shared_ptr<ResultEnvelope>& env,
+                           const std::shared_ptr<std::function<void()>>& done,
+                           const std::vector<float>& params, std::uint64_t gen);
+  /// Records the published copy (just committed or just republished) in the
+  /// base ring and prunes versions no in-flight unit is pinned to.
   void remember_base();
 
   SimEngine& engine_;

@@ -209,7 +209,6 @@ void SimClient::attempt_upload(const Workunit& unit,
 void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
                                 std::shared_ptr<Blob> payload,
                                 std::size_t attempt) {
-  ++stats_.transfer_failures;
   trace_.record(engine_.now(), TraceKind::transfer_failed, name(),
                 unit.label() + (stage == TransferStage::download
                                     ? " download"
@@ -250,7 +249,6 @@ void SimClient::preempt() {
   if (stopped_ || !up_) return;
   up_ = false;
   metrics_.preemptions.inc();
-  stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 std::to_string(active_) + " subtasks lost");
   cancel_pending();
@@ -289,7 +287,6 @@ void SimClient::go_offline() {
   if (stopped_ || !up_) return;
   up_ = false;
   metrics_.offline.inc();
-  stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 "volunteer offline, " + std::to_string(active_) +
                     " subtasks lost");

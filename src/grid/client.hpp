@@ -74,11 +74,9 @@ class SimClient {
   /// Per-client counts no metric records; the rest are fleet-wide "client.*"
   /// counters.
   struct Stats {
-    std::uint64_t lost_inflight = 0;  // subtasks killed by preemption
     std::uint64_t cache_hits = 0;
     SimTime busy_s = 0.0;             // summed virtual execution time
     std::uint64_t downloads = 0;
-    std::uint64_t transfer_failures = 0;  // dropped download/upload attempts
   };
 
   SimClient(ClientId id, InstanceType instance, ClientConfig config,
@@ -128,7 +126,6 @@ class SimClient {
   /// Simulated download time for the unit's inputs; updates caches.
   SimTime download_time(const Workunit& unit);
   void track(EventId id) { pending_events_.emplace(id.seq, id); }
-  void untrack(std::uint64_t seq) { pending_events_.erase(seq); }
   void cancel_pending();
   std::string name() const { return "client-" + std::to_string(id_); }
 

@@ -103,25 +103,6 @@ void FaultInjector::corrupt(Blob& payload) {
   }
 }
 
-const char* attack_mode_name(AttackMode mode) {
-  switch (mode) {
-    case AttackMode::sign_flip: return "sign_flip";
-    case AttackMode::scale: return "scale";
-    case AttackMode::constant: return "constant";
-    case AttackMode::noise: return "noise";
-  }
-  return "?";
-}
-
-AttackMode attack_mode_from_name(const std::string& name) {
-  if (name == "sign_flip") return AttackMode::sign_flip;
-  if (name == "scale") return AttackMode::scale;
-  if (name == "constant") return AttackMode::constant;
-  if (name == "noise") return AttackMode::noise;
-  VCDL_CHECK(false, "unknown attack mode: " + name);
-  return AttackMode::sign_flip;
-}
-
 AdversaryModel::AdversaryModel(AdversaryPlan plan, std::size_t fleet_size,
                                Rng rng)
     : plan_(std::move(plan)), rng_(rng) {
@@ -147,40 +128,19 @@ bool AdversaryModel::is_adversary(std::size_t client) const {
   return std::binary_search(adversaries_.begin(), adversaries_.end(), client);
 }
 
-bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
-  if (adversaries_.empty() || params.empty()) return false;
+std::optional<Tamper> AdversaryModel::draw(std::uint64_t unit) {
+  if (adversaries_.empty()) return std::nullopt;
   if (plan_.attack_prob < 1.0 && !rng_.bernoulli(plan_.attack_prob)) {
-    return false;
+    return std::nullopt;
   }
-  switch (plan_.mode) {
-    case AttackMode::sign_flip:
-      for (float& p : params) p = -p;
-      break;
-    case AttackMode::scale:
-      for (float& p : params) p *= static_cast<float>(plan_.scale_factor);
-      break;
-    case AttackMode::constant:
-      for (float& p : params) p = plan_.constant_value;
-      break;
-    case AttackMode::noise: {
-      // Subtle poisoning: gaussian noise scaled to the vector's RMS. The
-      // stream is keyed by the workunit when colluding (identical payloads
-      // per unit across all adversaries) and by a fresh ordinal otherwise
-      // (replicas never agree).
-      double sq = 0.0;
-      for (const float p : params) {
-        sq += static_cast<double>(p) * static_cast<double>(p);
-      }
-      const double rms = std::sqrt(sq / static_cast<double>(params.size()));
-      const double sigma = plan_.noise_sigma * std::max(rms, 1e-6);
-      const std::uint64_t key =
-          plan_.collude ? unit : mix64(unit, ++attack_ordinal_);
-      Rng noise(mix64(noise_seed_, key));
-      for (float& p : params) {
-        p += static_cast<float>(sigma * noise.normal());
-      }
-      break;
-    }
+  Tamper tamper{plan_, 0};
+  if (plan_.mode == AttackMode::noise) {
+    // The stream is keyed by the workunit when colluding (identical payloads
+    // per unit across all adversaries) and by a fresh ordinal otherwise
+    // (replicas never agree).
+    const std::uint64_t key =
+        plan_.collude ? unit : mix64(unit, ++attack_ordinal_);
+    tamper.noise_seed = mix64(noise_seed_, key);
   }
   // Registered only when an attack actually fires — adversary-free runs
   // must export byte-identical metrics snapshots, and a snapshot includes
@@ -189,7 +149,35 @@ bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
     byzantine_counter_ = &registry_.counter("faults.byzantine_result");
   }
   byzantine_counter_->inc();
-  return true;
+  return tamper;
+}
+
+void Tamper::apply(std::vector<float>& params) const {
+  switch (plan.mode) {
+    case AttackMode::sign_flip:
+      for (float& p : params) p = -p;
+      break;
+    case AttackMode::scale:
+      for (float& p : params) p *= static_cast<float>(plan.scale_factor);
+      break;
+    case AttackMode::constant:
+      for (float& p : params) p = plan.constant_value;
+      break;
+    case AttackMode::noise: {
+      // Subtle poisoning: gaussian noise scaled to the vector's RMS.
+      double sq = 0.0;
+      for (const float p : params) {
+        sq += static_cast<double>(p) * static_cast<double>(p);
+      }
+      const double rms = std::sqrt(sq / static_cast<double>(params.size()));
+      const double sigma = plan.noise_sigma * std::max(rms, 1e-6);
+      Rng noise(noise_seed);
+      for (float& p : params) {
+        p += static_cast<float>(sigma * noise.normal());
+      }
+      break;
+    }
+  }
 }
 
 SimTime RetryPolicy::delay(std::size_t attempt, Rng& rng) const {

@@ -118,7 +118,7 @@ class FaultInjector {
 /// Every fault kind the stack can inject; each increments the obs counter
 /// "faults.<kind>" at its injection site (the first five here, in
 /// FaultInjector; "server_crash" in GridServer::crash; "byzantine_result" in
-/// AdversaryModel::attack). The coverage test asserts set equality against
+/// AdversaryModel::draw). The coverage test asserts set equality against
 /// the registry, so a new fault kind must land with its counter.
 const std::vector<std::string>& fault_kind_names();
 
@@ -138,9 +138,6 @@ enum class AttackMode : std::uint8_t {
   constant,   // W ← constant_value everywhere: destroys all structure
   noise,      // W ← W + σ·rms(W)·N(0,1): subtle, near-plausible poisoning
 };
-
-const char* attack_mode_name(AttackMode mode);
-AttackMode attack_mode_from_name(const std::string& name);
 
 /// Adversary schedule for one run. The default (fraction 0) selects nobody,
 /// constructs nothing, and draws no randomness.
@@ -163,19 +160,29 @@ struct AdversaryPlan {
   bool any() const { return fraction > 0.0; }
 };
 
+/// One drawn attack on one result. Applying it is a pure function of the
+/// trained vector, so the draw can happen when a subtask starts and the
+/// tampering when it finishes training (SubtaskExecutor, core/trainer.hpp).
+struct Tamper {
+  AdversaryPlan plan;
+  std::uint64_t noise_seed = 0;  // AttackMode::noise stream for this result
+
+  void apply(std::vector<float>& params) const;
+};
+
 /// Selects the byzantine subset of the fleet (seeded, deterministic) and
-/// applies the plan's attack to their outgoing parameter payloads. The
-/// attacked floats re-encode through the normal wire path, so checksums stay
-/// valid by construction.
+/// draws the plan's attacks on their results. The tampered floats encode
+/// through the normal wire path, so checksums stay valid by construction.
 class AdversaryModel {
  public:
   AdversaryModel(AdversaryPlan plan, std::size_t fleet_size, Rng rng);
 
   bool is_adversary(std::size_t client) const;
-  /// Corrupts `params` in place per the plan; returns true when the attack
-  /// fired (counted under "faults.byzantine_result"). Deterministic per
-  /// (seed, unit, attack ordinal) — colluders keyed by unit alone.
-  bool attack(std::vector<float>& params, std::uint64_t unit);
+  /// Decides whether `unit`'s result is attacked (the attack_prob draw, in
+  /// event order) and returns the tamper to apply, counted under
+  /// "faults.byzantine_result". Deterministic per (seed, unit, attack
+  /// ordinal) — colluders keyed by unit alone.
+  std::optional<Tamper> draw(std::uint64_t unit);
 
   const std::vector<std::size_t>& adversaries() const { return adversaries_; }
   const AdversaryPlan& plan() const { return plan_; }

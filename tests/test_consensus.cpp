@@ -268,6 +268,14 @@ TEST(AdversaryModel, SelectionIsSeededAndRoundsToNearest) {
   EXPECT_EQ(c.adversaries().size(), 2u);
 }
 
+// One attack on `params`: draw, then apply; true when it fired.
+bool attack(AdversaryModel& adv, std::vector<float>& params,
+            std::uint64_t unit) {
+  const std::optional<Tamper> tamper = adv.draw(unit);
+  if (tamper) tamper->apply(params);
+  return tamper.has_value();
+}
+
 TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
   testing::LocalRegistry reg;
   const std::vector<float> base = {1.0f, -2.0f, 0.5f};
@@ -277,7 +285,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.mode = AttackMode::sign_flip;
     AdversaryModel adv(plan, 1, Rng(1));
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{-1.0f, 2.0f, -0.5f}));
     EXPECT_EQ(reg.count("faults.byzantine_result"), 1u);
   }
@@ -288,7 +296,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.constant_value = 7.0f;
     AdversaryModel adv(plan, 1, Rng(1));
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{7.0f, 7.0f, 7.0f}));
   }
   {
@@ -298,7 +306,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.scale_factor = -2.0;
     AdversaryModel adv(plan, 1, Rng(1));
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{-2.0f, 4.0f, -1.0f}));
   }
 }
@@ -311,19 +319,19 @@ TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
   colluding.collude = true;
   AdversaryModel ring(colluding, 2, Rng(5));
   std::vector<float> a = base, b = base;
-  EXPECT_TRUE(ring.attack(a, 42));
-  EXPECT_TRUE(ring.attack(b, 42));
+  EXPECT_TRUE(attack(ring, a, 42));
+  EXPECT_TRUE(attack(ring, b, 42));
   EXPECT_EQ(a, b);  // same unit → bit-identical lie (they can win a quorum)
   std::vector<float> other_unit = base;
-  EXPECT_TRUE(ring.attack(other_unit, 43));
+  EXPECT_TRUE(attack(ring, other_unit, 43));
   EXPECT_NE(a, other_unit);
 
   AdversaryPlan independent = colluding;
   independent.collude = false;
   AdversaryModel lone(independent, 2, Rng(5));
   std::vector<float> x = base, y = base;
-  EXPECT_TRUE(lone.attack(x, 42));
-  EXPECT_TRUE(lone.attack(y, 42));
+  EXPECT_TRUE(attack(lone, x, 42));
+  EXPECT_TRUE(attack(lone, y, 42));
   EXPECT_NE(x, y);  // each attack draws its own noise: no accidental quorum
 }
 

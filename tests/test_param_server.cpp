@@ -4,6 +4,8 @@
 // path (base ring hits, hash-guarded misses, drop semantics).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/param_server.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_io.hpp"
@@ -31,7 +33,7 @@ struct PsHarness {
 
   explicit PsHarness(const std::string& store_kind, double alpha = 0.5,
                      std::size_t num_ps = 2, WireMode wire = WireMode::full,
-                     std::size_t version_ring = 8)
+                     std::size_t version_ring = 8, ShardPlan plan = {})
       : store(make_store(store_kind)),
         data(make_synthetic_cifar({.height = 8,
                                    .width = 8,
@@ -48,6 +50,7 @@ struct PsHarness {
     opts.validation_subsample = 16;
     opts.wire_mode = wire;
     opts.version_ring = version_ring;
+    opts.plan = std::move(plan);
     assimilator = std::make_unique<VcAsgdAssimilator>(
         engine, *store, files, *server, *schedule, model, data.validation,
         table1_catalog().server, opts, trace, Rng(1),
@@ -296,6 +299,188 @@ TEST(ParamServerWire, EarlierReplicaBaseStaysPinnedAcrossRingChurn) {
   const auto w1 = h.stored_params();
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(w1[i], 0.5f * before[i] + 0.5f * client_a[i], 1e-6f);
+  }
+}
+
+// --- Every upload decode outcome, pinned -------------------------------------
+//
+// One table over {bare frame at 1 shard, 4-part bundle at 4 shards, bare frame
+// at 4 shards, 2-part bundle at 4 shards} x {delta, delta_q8} x {ring hit,
+// ring miss} x {decode, peek}. A decode row records the published params
+// after the blend (or "nullopt" when the upload was dropped) and the deltas
+// of the wire_codec counters and of every shard_wire_stats() entry; a peek
+// row records the peeked vector and the same deltas (which must stay zero).
+
+ShardPlan four_shard_plan(Model& model) {
+  std::vector<std::size_t> sizes(model.layer_count());
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    for (const Tensor* t : model.layer(i).params()) sizes[i] += t->numel();
+  }
+  return ShardPlan::build(sizes, 4);
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+enum class UploadShape {
+  bare_1shard,
+  bundle_4shard,
+  bare_4shard,
+  short_bundle
+};
+
+std::string decode_outcome(UploadShape shape, WireMode mode, bool ring_hit,
+                           bool peek) {
+  const bool four = shape != UploadShape::bare_1shard;
+  Model model = make_resnet_lite(
+      {.height = 8, .width = 8, .base_filters = 4, .blocks = 1}, 5);
+  const ShardPlan plan = four ? four_shard_plan(model)
+                              : ShardPlan::single(model.parameter_count());
+  EXPECT_EQ(plan.shards(), four ? 4u : 1u);
+  PsHarness h("eventual", 0.5, 1, mode, 8, plan);
+  // A hit encodes against the published copy at the current commit; a miss
+  // against a foreign base under an unknown version, so a q8 fallback decode
+  // shows which base it landed on.
+  std::vector<float> base = h.assimilator->published_params();
+  if (!ring_hit) {
+    for (float& v : base) v += 0.5f;
+  }
+  std::vector<float> client = base;
+  for (std::size_t i = 0; i < client.size(); ++i) {
+    client[i] += 0.01f * static_cast<float>(i % 17) - 0.05f;
+  }
+  const std::uint64_t version = ring_hit ? h.assimilator->commits() : 999;
+  const auto encode = [&](std::span<const float> b, std::span<const float> t) {
+    return mode == WireMode::delta ? encode_params_delta(b, t, version)
+                                   : encode_params_q8(b, t, version);
+  };
+  Blob payload;
+  if (shape == UploadShape::bare_1shard || shape == UploadShape::bare_4shard) {
+    payload = encode(base, client);
+  } else {
+    std::vector<Blob> parts;
+    const std::size_t n = shape == UploadShape::short_bundle ? 2 : 4;
+    for (std::size_t s = 0; s < n; ++s) {
+      parts.push_back(encode(plan.view(std::span<const float>(base), s),
+                             plan.view(std::span<const float>(client), s)));
+    }
+    payload = pack_shard_frames(parts);
+  }
+
+  const char* names[] = {"wire_codec.frames_decoded", "wire_codec.base_misses",
+                         "wire_codec.frames_dropped",
+                         "assimilator.updates_applied"};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = h.metrics.count(names[i]);
+  std::string out;
+  if (peek) {
+    const auto peeked = h.assimilator->peek_decode(payload);
+    out = peeked ? hex(params_hash(*peeked)) : "nullopt";
+  } else {
+    h.submit_payload(1, 0, payload);
+    h.engine.run();
+    const bool applied = h.metrics.count(names[3]) > before[3];
+    out = applied ? hex(params_hash(h.assimilator->published_params()))
+                  : "nullopt";
+  }
+  for (int i = 0; i < 3; ++i) {
+    out += " " + std::to_string(h.metrics.count(names[i]) - before[i]);
+  }
+  for (const auto& st : h.assimilator->shard_wire_stats()) {
+    out += " " + std::to_string(st.frames_decoded) + "/" +
+           std::to_string(st.base_misses) + "/" +
+           std::to_string(st.frames_dropped);
+  }
+  return out;
+}
+
+TEST(ParamServerWire, EveryDecodeOutcomeIsPinned) {
+  struct Row {
+    UploadShape shape;
+    WireMode mode;
+    bool hit;
+    bool peek;
+    const char* expected;
+  };
+  using enum UploadShape;
+  constexpr WireMode d = WireMode::delta, q = WireMode::delta_q8;
+  // Captured from the three separate decoders (bare frame, bundle, peek)
+  // that one per-part loop replaced; the loop must reproduce every row.
+  const std::vector<Row> rows = {
+      {bare_1shard, d, true, false,
+       "6a66d1bd56fb3b19 1 0 0 1/0/0"},
+      {bare_1shard, d, true, true,
+       "8a688f54fab35d7d 0 0 0 0/0/0"},
+      {bare_1shard, d, false, false,
+       "nullopt 0 1 1 0/1/1"},
+      {bare_1shard, d, false, true,
+       "nullopt 0 0 0 0/0/0"},
+      {bare_1shard, q, true, false,
+       "4ae04ad67092f1db 1 0 0 1/0/0"},
+      {bare_1shard, q, true, true,
+       "905acf4caa6fe2ba 0 0 0 0/0/0"},
+      {bare_1shard, q, false, false,
+       "4ae04ad67092f1db 0 1 0 0/1/0"},
+      {bare_1shard, q, false, true,
+       "nullopt 0 0 0 0/0/0"},
+      {bundle_4shard, d, true, false,
+       "6a66d1bd56fb3b19 4 0 0 1/0/0 1/0/0 1/0/0 1/0/0"},
+      {bundle_4shard, d, true, true,
+       "8a688f54fab35d7d 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bundle_4shard, d, false, false,
+       "nullopt 0 1 1 0/1/1 0/0/0 0/0/0 0/0/0"},
+      {bundle_4shard, d, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bundle_4shard, q, true, false,
+       "4ae04ad67092f1db 4 0 0 1/0/0 1/0/0 1/0/0 1/0/0"},
+      {bundle_4shard, q, true, true,
+       "905acf4caa6fe2ba 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bundle_4shard, q, false, false,
+       "4ae04ad67092f1db 0 4 0 0/1/0 0/1/0 0/1/0 0/1/0"},
+      {bundle_4shard, q, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, d, true, false,
+       "nullopt 0 1 1 0/1/1 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, d, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, d, false, false,
+       "nullopt 0 1 1 0/1/1 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, d, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, q, true, false,
+       "4ae04ad67092f1db 0 1 0 0/1/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, q, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, q, false, false,
+       "4ae04ad67092f1db 0 1 0 0/1/0 0/0/0 0/0/0 0/0/0"},
+      {bare_4shard, q, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, d, true, false,
+       "nullopt 0 0 1 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, d, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, d, false, false,
+       "nullopt 0 0 1 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, d, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, q, true, false,
+       "nullopt 0 0 1 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, q, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, q, false, false,
+       "nullopt 0 0 1 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {short_bundle, q, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+  };
+  ASSERT_EQ(rows.size(), 32u);
+  for (const Row& r : rows) {
+    EXPECT_EQ(decode_outcome(r.shape, r.mode, r.hit, r.peek), r.expected)
+        << "shape " << static_cast<int>(r.shape) << " mode "
+        << wire_mode_name(r.mode) << (r.hit ? " hit" : " miss")
+        << (r.peek ? " peek" : " decode");
   }
 }
 

@@ -11,6 +11,8 @@
 
 #include "core/report.hpp"
 #include "core/trainer.hpp"
+#include "data/synthetic.hpp"
+#include "nn/model_zoo.hpp"
 #include "testing/oracles.hpp"
 
 namespace vcdl {
@@ -299,6 +301,57 @@ TEST(TrainerIntegration, RunTotalsGoldenBitExact) {
   EXPECT_EQ(t.results_outvoted, 2u);
   EXPECT_EQ(t.blend_rejections, 2u);
   EXPECT_EQ(t.spot_checks, 2u);
+}
+
+// A subtask's upload is a function of its pinned inputs alone: two
+// executors whose replicas hold different weights, one of which has already
+// run another subtask on a warm scratch arena, return byte-identical
+// payloads for the same PinnedSubtask — in every wire mode, monolithic and
+// sharded, with and without a byzantine tamper.
+TEST(SubtaskExecutor, UploadDependsOnlyOnPinnedInputs) {
+  const SyntheticData data = make_synthetic_cifar(
+      {.height = 8, .width = 8, .train = 24, .validation = 4, .test = 4,
+       .seed = 3});
+  const ResNetLiteSpec arch{.height = 8, .width = 8, .base_filters = 4,
+                            .blocks = 1};
+  Model fresh = make_resnet_lite(arch, 5);
+  const Model used = make_resnet_lite(arch, 99);
+  std::vector<std::size_t> layer_sizes(fresh.layer_count());
+  for (std::size_t i = 0; i < fresh.layer_count(); ++i) {
+    for (const Tensor* t : fresh.layer(i).params()) {
+      layer_sizes[i] += t->numel();
+    }
+  }
+  AdversaryPlan noise;
+  noise.mode = AttackMode::noise;
+  for (const WireMode mode :
+       {WireMode::full, WireMode::delta, WireMode::delta_q8}) {
+    for (const std::size_t shards : {1u, 4u}) {
+      for (const bool tampered : {false, true}) {
+        ExperimentSpec spec;
+        spec.local_epochs = 1;
+        spec.batch_size = 8;
+        spec.wire_codec = wire_mode_name(mode);
+        const ShardPlan plan = ShardPlan::build(layer_sizes, shards);
+        SubtaskExecutor a(fresh, spec, plan);
+        SubtaskExecutor b(used, spec, plan);
+        ExecContext exec_a;
+        ExecContext exec_b;
+        (void)b.run({&data.validation, used.flat_params(), 3, Rng(77),
+                     std::nullopt},
+                    exec_b);
+        PinnedSubtask pin{&data.train, fresh.flat_params(), 5, Rng(11),
+                          std::nullopt};
+        if (tampered) pin.tamper = Tamper{noise, 0x5EED};
+        const Blob upload = a.run(pin, exec_a);
+        EXPECT_EQ(upload, b.run(pin, exec_b))
+            << wire_mode_name(mode) << " shards=" << shards
+            << (tampered ? " tampered" : "");
+        EXPECT_EQ(is_shard_bundle(upload),
+                  mode != WireMode::full && shards > 1);
+      }
+    }
+  }
 }
 
 TEST(TrainerIntegration, MlpOnImagesWorksToo) {

@@ -211,7 +211,7 @@ TEST(ParamFrame, HeaderCarriesBaseHashOfEncodeBase) {
   const WireFrame q = read_frame_header(encode_params_q8(base, target, 4));
   // Both modes stamp the same params_hash of the base they encoded against;
   // a decoder holding different params under the same version number can
-  // tell (the checkpoint-replay guard in VcAsgdAssimilator::decode_payload).
+  // tell (the checkpoint-replay guard in VcAsgdAssimilator::decode_upload).
   EXPECT_EQ(d.base_hash, params_hash(base));
   EXPECT_EQ(q.base_hash, params_hash(base));
   EXPECT_NE(d.base_hash, params_hash(other));
