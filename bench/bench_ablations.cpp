@@ -23,28 +23,35 @@ int main(int argc, char** argv) {
   const std::size_t epochs =
       static_cast<std::size_t>(cfg.get_int("epochs", 4));
 
-  auto p3c3t4 = [&](auto&& mutate) {
-    ExperimentSpec spec = bench::base_spec(cfg, epochs);
-    spec.parameter_servers = 3;
-    spec.clients = 3;
-    spec.tasks_per_client = 4;
-    spec.alpha = "var";
-    mutate(spec);
-    return run_experiment(spec);
-  };
+  // One sweep of P3C3T4 variants. The default spec (IID shards, full codec)
+  // is the IID row of table 1, the measured run of table 2 and the full row
+  // of table 5.
+  ExperimentSpec p3c3t4 = bench::base_spec(cfg, epochs);
+  p3c3t4.parameter_servers = 3;
+  p3c3t4.clients = 3;
+  p3c3t4.tasks_per_client = 4;
+  p3c3t4.alpha = "var";
+  std::vector<ExperimentSpec> specs(6, p3c3t4);
+  specs[1].shard_policy = ShardPolicy::label_skew;
+  for (const std::size_t rep : {1, 2}) {
+    specs[1 + rep].replication = rep;
+    specs[1 + rep].preemptible = true;
+    specs[1 + rep].interruption_per_hour = 0.5;
+  }
+  specs[4].wire_codec = "delta";
+  specs[5].wire_codec = "delta_q8";
+  const std::vector<TrainResult> runs = run_experiments(specs);
 
   // 1. Shard policy.
   std::cout << "1) Shard policy (label skew amplifies the §IV-C client-drift"
                " effect):\n";
   Table shard_tbl({"policy", "final acc", "acc spread", "hours"});
-  for (const ShardPolicy policy : {ShardPolicy::iid, ShardPolicy::label_skew}) {
-    const TrainResult r =
-        p3c3t4([&](ExperimentSpec& s) { s.shard_policy = policy; });
-    const auto& e = r.final_epoch();
-    shard_tbl.add_row({shard_policy_name(policy),
+  for (const TrainResult* r : {&runs[0], &runs[1]}) {
+    const auto& e = r->final_epoch();
+    shard_tbl.add_row({shard_policy_name(r->spec.shard_policy),
                        Table::fmt(e.mean_subtask_acc, 3),
                        Table::fmt(e.max_subtask_acc - e.min_subtask_acc, 3),
-                       Table::fmt(r.totals.duration_s / 3600.0, 2)});
+                       Table::fmt(r->totals.duration_s / 3600.0, 2)});
   }
   shard_tbl.print(std::cout);
 
@@ -53,7 +60,7 @@ int main(int argc, char** argv) {
   // no-cache counterfactual (every download re-transferred).
   std::cout << "\n2) Sticky-file caching (BOINC feature, §III-B):\n";
   {
-    const TrainResult r = p3c3t4([](ExperimentSpec&) {});
+    const TrainResult& r = runs[0];
     const auto hits = r.totals.cache_hits;
     const double measured_mb =
         static_cast<double>(r.totals.bytes_wire) / (1024.0 * 1024.0);
@@ -75,15 +82,11 @@ int main(int argc, char** argv) {
   // 3. Replication.
   std::cout << "\n3) Workunit replication (BOINC redundancy, §II-C):\n";
   Table rep_tbl({"replication", "hours", "duplicates", "timeouts"});
-  for (const std::size_t rep : {std::size_t{1}, std::size_t{2}}) {
-    const TrainResult r = p3c3t4([&](ExperimentSpec& s) {
-      s.replication = rep;
-      s.preemptible = true;
-      s.interruption_per_hour = 0.5;
-    });
-    rep_tbl.add_row({Table::fmt(rep), Table::fmt(r.totals.duration_s / 3600.0, 2),
-                     Table::fmt(r.totals.duplicates),
-                     Table::fmt(r.totals.timeouts)});
+  for (const TrainResult* r : {&runs[2], &runs[3]}) {
+    rep_tbl.add_row({Table::fmt(r->spec.replication),
+                     Table::fmt(r->totals.duration_s / 3600.0, 2),
+                     Table::fmt(r->totals.duplicates),
+                     Table::fmt(r->totals.timeouts)});
   }
   rep_tbl.print(std::cout);
 
@@ -114,15 +117,15 @@ int main(int argc, char** argv) {
                   "full-equiv MB", "final acc"});
   double full_upload_mb = 0.0;
   double full_acc = 0.0;
-  for (const char* mode : {"full", "delta", "delta_q8"}) {
-    const TrainResult r =
-        p3c3t4([&](ExperimentSpec& s) { s.wire_codec = mode; });
+  for (const TrainResult* run : {&runs[0], &runs[4], &runs[5]}) {
+    const TrainResult& r = *run;
+    const std::string& mode = r.spec.wire_codec;
     const double mb = 1024.0 * 1024.0;
     const double upload_mb = static_cast<double>(r.totals.bytes_uploaded) / mb;
     const double uploads = std::max(
         1.0, static_cast<double>(r.metrics.counters.at("client.completed")));
     const bool has_split = r.totals.param_bytes_full > 0;
-    if (std::string(mode) == "full") {
+    if (mode == "full") {
       full_upload_mb = upload_mb;
       full_acc = r.final_epoch().mean_subtask_acc;
     }
@@ -138,7 +141,7 @@ int main(int argc, char** argv) {
                           2)
              : "-",
          Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
-    if (std::string(mode) == "delta_q8" && full_upload_mb > 0.0) {
+    if (mode == "delta_q8" && full_upload_mb > 0.0) {
       std::cout << "   q8 upload reduction vs full: "
                 << Table::fmt(full_upload_mb / std::max(upload_mb, 1e-9), 1)
                 << "x, accuracy delta vs full: "
@@ -147,5 +150,6 @@ int main(int argc, char** argv) {
     }
   }
   wire_tbl.print(std::cout);
+  bench::write_json(cfg, "ablations", runs);
   return 0;
 }

@@ -16,24 +16,10 @@
 // The claim under test: with quorum the accuracy curve stays within noise of
 // the no-adversary baseline up to fraction 1/3, while first-valid degrades
 // monotonically. Writes BENCH_byzantine.json.
-#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-
-namespace {
-
-struct RunRow {
-  std::string policy;
-  double fraction = 0.0;
-  double final_acc = 0.0;
-  double val_acc = 0.0;
-  double hours = 0.0;
-  vcdl::RunTotals totals;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vcdl;
@@ -88,33 +74,31 @@ int main(int argc, char** argv) {
     return spec;
   };
 
-  std::vector<RunRow> rows;
+  std::vector<ExperimentSpec> specs;
+  for (const bool quorum : {false, true}) {
+    for (const double fraction : {0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5}) {
+      specs.push_back(make_spec(fraction, quorum));
+    }
+  }
+  const std::vector<TrainResult> runs = run_experiments(specs);
+
   Table table({"policy", "fraction", "final acc", "val acc", "hours",
                "attacks", "quorums", "fallbacks", "outvoted", "blend rej"});
   double baseline_acc[2] = {0.0, 0.0};
-  obs::MetricsSnapshot last_metrics;
-  for (const bool quorum : {false, true}) {
-    for (const double fraction : {0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5}) {
-      const TrainResult r = run_experiment(make_spec(fraction, quorum));
-      last_metrics = r.metrics;
-      RunRow row;
-      row.policy = quorum ? "quorum m=2/k=3" : "first-valid";
-      row.fraction = fraction;
-      row.final_acc = r.final_epoch().mean_subtask_acc;
-      row.val_acc = r.final_epoch().val_acc;
-      row.hours = r.totals.duration_s / 3600.0;
-      row.totals = r.totals;
-      if (fraction == 0.0) baseline_acc[quorum ? 1 : 0] = row.final_acc;
-      rows.push_back(row);
-      table.add_row({row.policy, Table::fmt(fraction, 3),
-                     Table::fmt(row.final_acc, 3), Table::fmt(row.val_acc, 3),
-                     Table::fmt(row.hours, 2),
-                     Table::fmt(r.totals.byzantine_attacks),
-                     Table::fmt(r.totals.consensus_quorums),
-                     Table::fmt(r.totals.consensus_fallbacks),
-                     Table::fmt(r.totals.results_outvoted),
-                     Table::fmt(r.totals.blend_rejections)});
-    }
+  for (const TrainResult& r : runs) {
+    const bool quorum = r.spec.consensus.enabled;
+    const double fraction = r.spec.adversary.fraction;
+    const double final_acc = r.final_epoch().mean_subtask_acc;
+    if (fraction == 0.0) baseline_acc[quorum ? 1 : 0] = final_acc;
+    table.add_row({quorum ? "quorum m=2/k=3" : "first-valid",
+                   Table::fmt(fraction, 3), Table::fmt(final_acc, 3),
+                   Table::fmt(r.final_epoch().val_acc, 3),
+                   Table::fmt(r.totals.duration_s / 3600.0, 2),
+                   Table::fmt(r.totals.byzantine_attacks),
+                   Table::fmt(r.totals.consensus_quorums),
+                   Table::fmt(r.totals.consensus_fallbacks),
+                   Table::fmt(r.totals.results_outvoted),
+                   Table::fmt(r.totals.blend_rejections)});
   }
   table.print(std::cout);
   std::cout << "(first-valid baseline " << Table::fmt(baseline_acc[0], 3)
@@ -122,39 +106,6 @@ int main(int argc, char** argv) {
             << " — the quorum curve should hug its baseline through fraction "
                "1/3 while first-valid falls away; at 1/2 the byzantine half "
                "can out-vote honest pairs and only the blend guard is left)\n";
-
-  // Stable schema: schema_version bumps on any key change.
-  const std::string json_path = cfg.get_string("out", "BENCH_byzantine.json");
-  std::ofstream out(json_path);
-  out << "{\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"bench\": \"byzantine\",\n"
-      << "  \"attack\": \"sign_flip\",\n"
-      << "  \"replication\": 3,\n"
-      << "  \"quorum\": 2,\n"
-      << "  \"epochs\": " << epochs << ",\n"
-      << "  \"num_shards\": " << shards << ",\n"
-      << "  \"alpha\": \"" << alpha << "\",\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunRow& r = rows[i];
-    out << "    {\"policy\": \"" << r.policy << "\""
-        << ", \"fraction\": " << r.fraction
-        << ", \"final_acc\": " << r.final_acc
-        << ", \"val_acc\": " << r.val_acc << ", \"hours\": " << r.hours
-        << ", \"byzantine_attacks\": " << r.totals.byzantine_attacks
-        << ", \"consensus_quorums\": " << r.totals.consensus_quorums
-        << ", \"consensus_fallbacks\": " << r.totals.consensus_fallbacks
-        << ", \"results_outvoted\": " << r.totals.results_outvoted
-        << ", \"blend_rejections\": " << r.totals.blend_rejections << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_path << "\n";
-
-  // Telemetry of the last (heaviest-attack, full-defense) run: consensus.*
-  // counters alongside the usual grid/fault taxonomies.
-  bench::write_obs_json("byzantine", last_metrics,
-                        cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_json(cfg, "byzantine", runs);
   return 0;
 }

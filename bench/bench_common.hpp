@@ -4,17 +4,23 @@
 // default fast preset can be scaled up toward the paper's full 40-epoch runs.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
+#include "common/json_writer.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/job.hpp"
+#include "core/report.hpp"
 #include "core/trainer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
+#include "tensor/ops.hpp"
 
 namespace vcdl::bench {
 
@@ -57,58 +63,65 @@ inline void add_epoch_rows(Table& table, const std::string& series,
   }
 }
 
-/// Exports `snapshot` as BENCH_obs.json (or `path`): the full
-/// MetricsSnapshot JSON wrapped with bench identity. Simulation benches pass
-/// a run's TrainResult::metrics (each run owns its registry); benches that
-/// time kernels outside a simulation pass the process registry's snapshot,
-/// whose wall-clock span histograms (exec.gemm_s, exec.im2col_s, ...) carry
-/// real kernel-time distributions.
-inline void write_obs_json(const std::string& bench_name,
-                           const obs::MetricsSnapshot& snapshot,
-                           const std::string& path) {
-  std::string metrics = snapshot.to_json();
-  while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
+/// Bench-specific members of BENCH_<bench>.json (parameters, timing rows),
+/// written after `runs`.
+using JsonFields = std::function<void(JsonWriter&)>;
+
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The one JSON output of every bench: writes BENCH_<bench>.json (or the
+/// `out=` path) holding schema_version 2, the host block (cpu, nproc, SIMD
+/// tier, build type, configure-time commit), one entry per run (to_json's
+/// members plus the run's metrics snapshot), then `fields`.
+inline void write_json(const Config& cfg, const std::string& bench,
+                       const std::vector<TrainResult>& runs,
+                       const JsonFields& fields = {}) {
+  const std::string path = cfg.get_string("out", "BENCH_" + bench + ".json");
   std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"bench\": \"" << bench_name << "\",\n"
-      << "  \"metrics\": " << metrics << "\n}\n";
+  JsonWriter w(out, /*indent=*/2);
+  w.open_object();
+  w.field("schema_version", std::uint64_t{2});
+  w.field("bench", bench);
+  w.open_object("host");
+  w.field("cpu", cpu_model());
+  w.field("nproc", std::uint64_t{std::thread::hardware_concurrency()});
+  w.field("simd", ops::simd_tier_name(ops::active_simd_tier()));
+  w.field("build_type", VCDL_BUILD_TYPE);
+  w.field("commit", VCDL_COMMIT);
+  w.close_object();
+  w.open_array("runs");
+  for (const TrainResult& r : runs) {
+    w.open_object();
+    write_run(w, r);
+    w.raw("metrics", r.metrics.to_json());
+    w.close_object();
+  }
+  w.close_array();
+  if (fields) fields(w);
+  w.close_object();
+  out << "\n";
+  VCDL_CHECK(out.good(), "bench::write_json: cannot write " + path);
   std::cout << "wrote " << path << "\n";
 }
 
-/// Merges one bench's shard-sweep results into BENCH_shard.json (or `path`)
-/// under `section`, preserving the sections other bench binaries already
-/// wrote — bench_fig2 and bench_fig3 both sweep param_shards ∈ {1,2,4,8} and
-/// contribute to the same artifact in either order. `rows_json` is a complete
-/// JSON array. The format contract that makes the merge possible without a
-/// JSON parser: every section lives on exactly one line of the file
-/// (`    "name": [...]`), so re-reading the sections back is a line scan.
-inline void write_shard_json(const std::string& section,
-                             const std::string& rows_json,
-                             const std::string& path = "BENCH_shard.json") {
-  std::map<std::string, std::string> sections;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("    \"", 0) != 0) continue;
-      const auto key_end = line.find('"', 5);
-      if (key_end == std::string::npos || line.size() < key_end + 3) continue;
-      std::string value = line.substr(key_end + 3);
-      if (!value.empty() && value.back() == ',') value.pop_back();
-      sections[line.substr(5, key_end - 5)] = value;
-    }
-  }
-  sections[section] = rows_json;
-  std::ofstream out(path);
-  out << "{\n  \"schema_version\": 1,\n  \"sections\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, value] : sections) {
-    out << "    \"" << name << "\": " << value
-        << (++i == sections.size() ? "\n" : ",\n");
-  }
-  out << "  }\n}\n";
-  std::cout << "wrote " << path << " (section \"" << section << "\")\n";
+/// `key`: {reps, min, median, max} of one timed row's samples.
+inline void write_spread(JsonWriter& w, const char* key,
+                         const std::vector<double>& samples) {
+  w.open_object(key);
+  w.field("reps", std::uint64_t{samples.size()});
+  w.field("min", quantile(samples, 0.0));
+  w.field("median", quantile(samples, 0.5));
+  w.field("max", quantile(samples, 1.0));
+  w.close_object();
 }
 
 inline void print_run_summary(const TrainResult& r) {

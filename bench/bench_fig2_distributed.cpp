@@ -6,7 +6,7 @@
 // in training time; P5C5T2 is the fastest of the four.
 #include <algorithm>
 #include <iostream>
-#include <sstream>
+#include <span>
 
 #include "bench_common.hpp"
 
@@ -16,23 +16,32 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 2 — accuracy vs cumulative training time",
                       "Fig. 2 (P1C3T2, P1C3T8, P3C3T8, P5C5T2; alpha = 0.95)");
 
-  struct Shape {
-    std::size_t p, c, t;
+  // One sweep: the four Fig. 2 shapes, then P3C3T8 delta over {1, 2, 4, 8}
+  // parameter shards. The codec comparison reuses the P3C3T8 shape (full
+  // codec) and the one-shard delta run: the same specs.
+  const auto p_c_t = [&](std::size_t p, std::size_t c, std::size_t t) {
+    ExperimentSpec spec = bench::base_spec(cfg);
+    spec.parameter_servers = p;
+    spec.clients = c;
+    spec.tasks_per_client = t;
+    spec.alpha = "0.95";
+    return spec;
   };
-  const Shape shapes[] = {{1, 3, 2}, {1, 3, 8}, {3, 3, 8}, {5, 5, 2}};
+  std::vector<ExperimentSpec> specs = {p_c_t(1, 3, 2), p_c_t(1, 3, 8),
+                                       p_c_t(3, 3, 8), p_c_t(5, 5, 2)};
+  for (const std::size_t shards : {1, 2, 4, 8}) {
+    specs.push_back(p_c_t(3, 3, 8));
+    specs.back().wire_codec = "delta";
+    specs.back().param_shards = shards;
+  }
+  const std::vector<TrainResult> runs = run_experiments(specs);
+  const std::span<const TrainResult> results = std::span(runs).first(4);
+  const std::span<const TrainResult> shard_runs = std::span(runs).subspan(4);
 
   Table table = bench::epoch_series_table();
-  std::vector<TrainResult> results;
-  for (const Shape& s : shapes) {
-    ExperimentSpec spec = bench::base_spec(cfg);
-    spec.parameter_servers = s.p;
-    spec.clients = s.c;
-    spec.tasks_per_client = s.t;
-    spec.alpha = "0.95";
-    const TrainResult r = run_experiment(spec);
+  for (const TrainResult& r : results) {
     bench::print_run_summary(r);
-    bench::add_epoch_rows(table, spec.label(), r);
-    results.push_back(r);
+    bench::add_epoch_rows(table, r.spec.label(), r);
   }
   std::cout << "\n";
   table.print(std::cout);
@@ -52,20 +61,14 @@ int main(int argc, char** argv) {
                " (P3C3T8):\n";
   Table codec_tbl({"codec", "total wire MB", "param pull MB", "full-equiv MB",
                    "pull savings", "delta pulls", "final acc"});
-  for (const char* mode : {"full", "delta"}) {
-    ExperimentSpec spec = bench::base_spec(cfg);
-    spec.parameter_servers = 3;
-    spec.clients = 3;
-    spec.tasks_per_client = 8;
-    spec.alpha = "0.95";
-    spec.wire_codec = mode;
-    const TrainResult r = run_experiment(spec);
-    const double mb = 1024.0 * 1024.0;
+  const double mb = 1024.0 * 1024.0;
+  for (const TrainResult* codec_run : {&results[2], &shard_runs[0]}) {
+    const TrainResult& r = *codec_run;
     const bool has_split = r.totals.param_bytes_full > 0;
     const double wire = static_cast<double>(r.totals.param_bytes_wire);
     const double full = static_cast<double>(r.totals.param_bytes_full);
     codec_tbl.add_row(
-        {mode,
+        {r.spec.wire_codec,
          Table::fmt(static_cast<double>(r.totals.bytes_wire) / mb, 2),
          has_split ? Table::fmt(wire / mb, 2) : "-",
          has_split ? Table::fmt(full / mb, 2) : "-",
@@ -78,40 +81,19 @@ int main(int argc, char** argv) {
   // Sharded parameter plane (core/shard_plan.hpp): the same P3C3T8 delta run
   // with the parameter vector sliced over {1, 2, 4, 8} per-shard planes —
   // shard files pulled in parallel, uploads as per-shard frame bundles.
-  // Results land in BENCH_shard.json alongside bench_fig3's sweep.
   std::cout << "\nSharded parameter plane sweep (P3C3T8, delta codec):\n";
   Table shard_tbl({"shards", "hours", "final acc", "param pull MB",
                    "full-equiv MB", "delta pulls"});
-  std::ostringstream rows;
-  rows << "[";
-  for (const std::size_t shards : {1, 2, 4, 8}) {
-    ExperimentSpec spec = bench::base_spec(cfg);
-    spec.parameter_servers = 3;
-    spec.clients = 3;
-    spec.tasks_per_client = 8;
-    spec.alpha = "0.95";
-    spec.wire_codec = "delta";
-    spec.param_shards = shards;
-    const TrainResult r = run_experiment(spec);
-    const double mb = 1024.0 * 1024.0;
+  for (const TrainResult& r : shard_runs) {
     shard_tbl.add_row(
-        {Table::fmt(shards), Table::fmt(r.totals.duration_s / 3600.0, 2),
+        {Table::fmt(r.spec.param_shards),
+         Table::fmt(r.totals.duration_s / 3600.0, 2),
          Table::fmt(r.final_epoch().mean_subtask_acc, 3),
          Table::fmt(static_cast<double>(r.totals.param_bytes_wire) / mb, 2),
          Table::fmt(static_cast<double>(r.totals.param_bytes_full) / mb, 2),
          Table::fmt(r.totals.delta_pulls)});
-    if (shards != 1) rows << ", ";
-    rows << "{\"param_shards\": " << shards << ", \"label\": \""
-         << spec.label() << "\", \"wire_codec\": \"delta\", \"hours\": "
-         << Table::fmt(r.totals.duration_s / 3600.0, 4)
-         << ", \"final_mean_acc\": "
-         << Table::fmt(r.final_epoch().mean_subtask_acc, 4)
-         << ", \"param_bytes_wire\": " << r.totals.param_bytes_wire
-         << ", \"param_bytes_full\": " << r.totals.param_bytes_full
-         << ", \"delta_pulls\": " << r.totals.delta_pulls << "}";
   }
-  rows << "]";
   shard_tbl.print(std::cout);
-  bench::write_shard_json("fig2", rows.str());
+  bench::write_json(cfg, "fig2", runs);
   return 0;
 }

@@ -9,7 +9,7 @@
 //   * P3C3T8 is markedly faster than P1C3T8 (more PS workers);
 //   * P5C5: time grows monotonically T2→T8 (server-side imbalance).
 #include <iostream>
-#include <sstream>
+#include <iterator>
 
 #include "bench_common.hpp"
 
@@ -24,63 +24,66 @@ int main(int argc, char** argv) {
   };
   const Cluster clusters[] = {{1, 3}, {3, 3}, {5, 5}};
   const std::size_t tns[] = {2, 4, 8};
+  const std::size_t shard_counts[] = {1, 2, 4, 8};
+
+  // One sweep: the 3x3 grid cluster-major, then P5C5T2 delta over
+  // {1, 2, 4, 8} parameter shards.
+  const auto p_c_t = [&](std::size_t p, std::size_t c, std::size_t t) {
+    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
+    spec.parameter_servers = p;
+    spec.clients = c;
+    spec.tasks_per_client = t;
+    spec.alpha = "0.95";
+    return spec;
+  };
+  std::vector<ExperimentSpec> specs;
+  for (const Cluster& cl : clusters) {
+    for (const std::size_t tn : tns) specs.push_back(p_c_t(cl.p, cl.c, tn));
+  }
+  for (const std::size_t shards : shard_counts) {
+    specs.push_back(p_c_t(5, 5, 2));
+    specs.back().wire_codec = "delta";
+    specs.back().param_shards = shards;
+  }
+  const std::vector<TrainResult> runs = run_experiments(specs);
+  const auto hours_of = [](const TrainResult& r) {
+    return r.totals.duration_s / 3600.0;
+  };
+  const auto hours40_of = [&](const TrainResult& r) {
+    return hours_of(r) / static_cast<double>(r.epochs.size()) * 40.0;
+  };
 
   Table table({"config", "T2 hours", "T4 hours", "T8 hours",
                "T2 (40-epoch est.)", "T4 (40-epoch est.)", "T8 (40-epoch est.)"});
-
+  const TrainResult* cell = runs.data();
   for (const Cluster& cl : clusters) {
-    std::vector<double> hours, hours40;
-    for (const std::size_t tn : tns) {
-      ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
-      spec.parameter_servers = cl.p;
-      spec.clients = cl.c;
-      spec.tasks_per_client = tn;
-      spec.alpha = "0.95";
-      const TrainResult r = run_experiment(spec);
-      bench::print_run_summary(r);
-      const double h = r.totals.duration_s / 3600.0;
-      hours.push_back(h);
-      hours40.push_back(h / static_cast<double>(r.epochs.size()) * 40.0);
+    for (std::size_t t = 0; t < std::size(tns); ++t) {
+      bench::print_run_summary(cell[t]);
     }
     table.add_row({"P" + std::to_string(cl.p) + "C" + std::to_string(cl.c),
-                   Table::fmt(hours[0], 2), Table::fmt(hours[1], 2),
-                   Table::fmt(hours[2], 2), Table::fmt(hours40[0], 1),
-                   Table::fmt(hours40[1], 1), Table::fmt(hours40[2], 1)});
+                   Table::fmt(hours_of(cell[0]), 2),
+                   Table::fmt(hours_of(cell[1]), 2),
+                   Table::fmt(hours_of(cell[2]), 2),
+                   Table::fmt(hours40_of(cell[0]), 1),
+                   Table::fmt(hours40_of(cell[1]), 1),
+                   Table::fmt(hours40_of(cell[2]), 1)});
+    cell += std::size(tns);
   }
   std::cout << "\n";
   table.print(std::cout);
 
   // Sharded parameter plane (core/shard_plan.hpp): the paper's fastest cell
-  // (P5C5T2) at param_shards ∈ {1, 2, 4, 8} under the delta codec. Merged
-  // into BENCH_shard.json alongside bench_fig2's sweep.
+  // (P5C5T2) at param_shards ∈ {1, 2, 4, 8} under the delta codec.
   std::cout << "\nSharded parameter plane sweep (P5C5T2, delta codec):\n";
   Table shard_tbl({"shards", "hours", "40-epoch est.", "final acc"});
-  std::ostringstream rows;
-  rows << "[";
-  for (const std::size_t shards : {1, 2, 4, 8}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
-    spec.parameter_servers = 5;
-    spec.clients = 5;
-    spec.tasks_per_client = 2;
-    spec.alpha = "0.95";
-    spec.wire_codec = "delta";
-    spec.param_shards = shards;
-    const TrainResult r = run_experiment(spec);
+  for (const std::size_t shards : shard_counts) {
+    const TrainResult& r = *cell++;
     bench::print_run_summary(r);
-    const double h = r.totals.duration_s / 3600.0;
-    const double h40 = h / static_cast<double>(r.epochs.size()) * 40.0;
-    shard_tbl.add_row({Table::fmt(shards), Table::fmt(h, 2),
-                       Table::fmt(h40, 1),
+    shard_tbl.add_row({Table::fmt(shards), Table::fmt(hours_of(r), 2),
+                       Table::fmt(hours40_of(r), 1),
                        Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
-    if (shards != 1) rows << ", ";
-    rows << "{\"param_shards\": " << shards << ", \"label\": \""
-         << spec.label() << "\", \"wire_codec\": \"delta\", \"hours\": "
-         << Table::fmt(h, 4) << ", \"hours_40epoch\": " << Table::fmt(h40, 4)
-         << ", \"final_mean_acc\": "
-         << Table::fmt(r.final_epoch().mean_subtask_acc, 4) << "}";
   }
-  rows << "]";
   shard_tbl.print(std::cout);
-  bench::write_shard_json("fig3", rows.str());
+  bench::write_json(cfg, "fig3", runs);
   return 0;
 }

@@ -24,18 +24,20 @@ int main(int argc, char** argv) {
                       "Fig. 4 (alpha in {0.7, 0.95, 0.999, var})");
 
   const char* alphas[] = {"0.7", "0.95", "0.999", "var"};
-  Table table = bench::epoch_series_table();
-  std::vector<TrainResult> results;
+  std::vector<ExperimentSpec> specs;
   for (const char* alpha : alphas) {
     ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/16);
     spec.parameter_servers = 3;
     spec.clients = 3;
     spec.tasks_per_client = 4;
     spec.alpha = alpha;
-    const TrainResult r = run_experiment(spec);
+    specs.push_back(spec);
+  }
+  const std::vector<TrainResult> results = run_experiments(specs);
+  Table table = bench::epoch_series_table();
+  for (const TrainResult& r : results) {
     bench::print_run_summary(r);
-    bench::add_epoch_rows(table, std::string("alpha=") + alpha, r);
-    results.push_back(r);
+    bench::add_epoch_rows(table, "alpha=" + r.spec.alpha, r);
   }
   std::cout << "\n";
   table.print(std::cout);
@@ -59,5 +61,6 @@ int main(int argc, char** argv) {
   std::ofstream csv(csv_path);
   table.print_csv(csv);
   std::cout << "\nseries written to " << csv_path << "\n";
+  bench::write_json(cfg, "fig4", results);
   return 0;
 }

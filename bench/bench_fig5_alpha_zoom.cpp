@@ -65,19 +65,24 @@ int main(int argc, char** argv) {
 
   const std::string csv_path = cfg.get_string("csv", "vcdl_fig4_series.csv");
   std::vector<Row> rows = read_csv(csv_path);
+  std::vector<TrainResult> runs;
   if (rows.empty()) {
     std::cout << "(no " << csv_path
               << " from bench_fig4_alpha; running reduced var-vs-0.95 sweep)\n";
+    std::vector<ExperimentSpec> specs;
     for (const char* alpha : {"0.95", "var"}) {
       ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/12);
       spec.parameter_servers = 3;
       spec.clients = 3;
       spec.tasks_per_client = 4;
       spec.alpha = alpha;
-      const TrainResult r = run_experiment(spec);
+      specs.push_back(spec);
+    }
+    runs = run_experiments(specs);
+    for (const TrainResult& r : runs) {
       bench::print_run_summary(r);
       for (const auto& e : r.epochs) {
-        rows.push_back(Row{std::string("alpha=") + alpha, e.epoch,
+        rows.push_back(Row{"alpha=" + r.spec.alpha, e.epoch,
                            e.end_time / 3600.0, e.mean_subtask_acc,
                            e.min_subtask_acc, e.max_subtask_acc});
       }
@@ -86,5 +91,6 @@ int main(int argc, char** argv) {
   // Fig. 5a: mid-training window; Fig. 5b: end of training.
   print_window(rows, 0.45, 0.70, "Fig. 5(a) mid-training window");
   print_window(rows, 0.80, 1.00, "Fig. 5(b) end of training");
+  bench::write_json(cfg, "fig5", runs);
   return 0;
 }

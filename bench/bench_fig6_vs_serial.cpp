@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   dist_spec.clients = 5;
   dist_spec.tasks_per_client = 2;
   dist_spec.alpha = "var";
-  const TrainResult dist = run_experiment(dist_spec);
+  const std::vector<TrainResult> runs = run_experiments({dist_spec});
+  const TrainResult& dist = runs.front();
   bench::print_run_summary(dist);
 
   SerialSpec serial_spec;
@@ -102,5 +103,17 @@ int main(int argc, char** argv) {
   std::cout << "Validation-test gap at end: distributed "
             << Table::fmt(std::abs(dl.val_acc - dl.test_acc), 3) << ", serial "
             << Table::fmt(std::abs(sl.val_acc - sl.test_acc), 3) << "\n";
+  bench::write_json(cfg, "fig6", runs, [&](JsonWriter& w) {
+    w.open_array("serial_epochs");
+    for (const auto& e : serial.epochs) {
+      w.open_object();
+      w.field("epoch", e.epoch);
+      w.field("hours", e.end_time / 3600.0);
+      w.field("val_acc", e.val_acc);
+      w.field("test_acc", e.test_acc);
+      w.close_object();
+    }
+    w.close_array();
+  });
   return 0;
 }

@@ -4,20 +4,21 @@
 // "Execution & threading model") on a CIFAR-scale resnet_lite, sweeping the
 // per-client pool over {1, 2, 4, 8} threads. Thread count 1 uses no pool at
 // all — it is the serial bit-exact reference path. Writes BENCH_hotpath.json
-// (schema v2, consumed by EXPERIMENTS.md) next to the working directory.
+// (bench::write_json, consumed by EXPERIMENTS.md) in the working directory.
 //
 // The sweep is capped at the host's hardware threads by default: a width
-// beyond the core count measures scheduler context-switching, not scaling —
-// exactly the mistake the committed v1 numbers encoded (a 1-core host
-// "showing" 8-thread slowdown). Pass oversub=1 to include the over-wide rows
-// anyway; they are marked "oversubscribed": true in the JSON so downstream
-// readers can never mistake them for a scaling regression.
+// beyond the core count measures scheduler context-switching, not scaling.
+// Pass oversub=1 to include the over-wide rows anyway; they are marked
+// "oversubscribed": true in the JSON so downstream readers can never mistake
+// them for a scaling regression.
 //
 // Overrides: batch=32 steps=20 warmup=3 base_filters=16 blocks=2 image=32
 //            oversub=0 smoke=0
 //
-// Each width is timed as the fastest of a fixed number of loops of `steps`
-// steps (kReps), so one descheduled loop cannot decide a row.
+// Every width's model and pool is built and warmed up first; each of kReps
+// rounds then times one loop of `steps` steps per width, round-robin, so a
+// slow spell of the host hits every width alike. A width reports its fastest
+// loop; the JSON also carries the min/median/max spread of its loops.
 //
 // smoke=1 shrinks the job to seconds and exits nonzero if the pooled path is
 // slower than serial at the widest non-oversubscribed width — the CI guard
@@ -25,9 +26,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -37,19 +36,25 @@
 #include "core/local_sgd.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/exec_context.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
 
-// Timed loops per width; each width reports its fastest loop.
+// Timed rounds; each width runs one loop per round and reports its fastest.
 constexpr std::size_t kReps = 5;
 
-struct ThreadResult {
+struct Width {
   std::size_t threads = 1;
-  double steps_per_sec = 0.0;
-  double speedup_vs_1 = 0.0;
   bool oversubscribed = false;
+  vcdl::Model model;
+  std::unique_ptr<vcdl::Optimizer> optimizer;
+  std::unique_ptr<vcdl::ThreadPool> pool;
+  vcdl::ExecContext exec;
+  std::vector<double> loop_s;  // one timed loop per round
+  double steps_per_sec = 0.0;  // from the fastest loop
+  double speedup_vs_1 = 0.0;
 };
 
 }  // namespace
@@ -90,105 +95,89 @@ int main(int argc, char** argv) {
     labels[i] = static_cast<std::uint16_t>(i % spec.classes);
   }
 
-  // Scope the wall-clock span telemetry (exec.gemm_s etc.) to the measured
-  // sweep; exported as BENCH_obs.json below.
-  obs::registry().reset_values();
-
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<ThreadResult> results;
+  std::vector<std::unique_ptr<Width>> widths;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const bool over = threads > hw;
     if (over && !oversub) continue;
-    Model model = make_resnet_lite(spec, /*seed=*/42);
-    auto optimizer = make_optimizer("sgd", 0.01);
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    ExecContext exec;
-    exec.pool = pool.get();
-
-    auto step = [&] {
-      train_step(model, x, labels, exec);
-      optimizer->step(model);
-    };
-    for (std::size_t i = 0; i < warmup; ++i) step();
-
-    // Best of kReps timed loops: one descheduled loop inflates a single
-    // measurement, never the minimum.
-    double secs = std::numeric_limits<double>::infinity();
-    for (std::size_t rep = 0; rep < kReps; ++rep) {
+    Width& w = *widths.emplace_back(std::make_unique<Width>());
+    w.threads = threads;
+    w.oversubscribed = over;
+    w.model = make_resnet_lite(spec, /*seed=*/42);
+    w.optimizer = make_optimizer("sgd", 0.01);
+    if (threads > 1) w.pool = std::make_unique<ThreadPool>(threads);
+    w.exec.pool = w.pool.get();
+  }
+  const auto step = [&](Width& w) {
+    train_step(w.model, x, labels, w.exec);
+    w.optimizer->step(w.model);
+  };
+  for (auto& w : widths) {
+    for (std::size_t i = 0; i < warmup; ++i) step(*w);
+  }
+  // Scope the wall-clock span telemetry (exec.gemm_s etc.) to the timed
+  // rounds; exported in BENCH_hotpath.json below.
+  obs::registry().reset_values();
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    for (auto& w : widths) {
       const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < steps; ++i) step();
+      for (std::size_t i = 0; i < steps; ++i) step(*w);
       const auto t1 = std::chrono::steady_clock::now();
-      secs = std::min(secs, std::chrono::duration<double>(t1 - t0).count());
+      w->loop_s.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-
-    ThreadResult r;
-    r.threads = threads;
-    r.steps_per_sec = static_cast<double>(steps) / secs;
-    r.oversubscribed = over;
-    results.push_back(r);
   }
-  for (ThreadResult& r : results) {
-    r.speedup_vs_1 = r.steps_per_sec / results.front().steps_per_sec;
+  for (auto& w : widths) {
+    w->steps_per_sec = static_cast<double>(steps) /
+                       *std::min_element(w->loop_s.begin(), w->loop_s.end());
+    w->speedup_vs_1 = w->steps_per_sec / widths.front()->steps_per_sec;
   }
 
-  const char* simd = ops::simd_tier_name(ops::active_simd_tier());
   Table table({"threads", "steps/sec", "speedup vs 1", "note"});
-  for (const ThreadResult& r : results) {
-    table.add_row({Table::fmt(r.threads), Table::fmt(r.steps_per_sec, 3),
-                   Table::fmt(r.speedup_vs_1, 2),
-                   r.oversubscribed ? "oversubscribed" : ""});
+  for (const auto& w : widths) {
+    table.add_row({Table::fmt(w->threads), Table::fmt(w->steps_per_sec, 3),
+                   Table::fmt(w->speedup_vs_1, 2),
+                   w->oversubscribed ? "oversubscribed" : ""});
   }
   table.print(std::cout);
-  std::cout << "\nhardware_threads=" << hw << "  simd=" << simd
+  std::cout << "\nhardware_threads=" << hw << "  simd="
+            << ops::simd_tier_name(ops::active_simd_tier())
             << (hw < 4 ? "  (speedup capped by host core count)" : "") << "\n";
-
-  // Schema v2: sweep capped at hardware_threads unless oversub=1, rows carry
-  // "oversubscribed", and the dispatched SIMD tier is recorded. v1 files had
-  // neither — their multi-thread rows on a 1-core host measured pure
-  // context-switch overhead and are not comparable.
-  const std::string json_path = cfg.get_string("out", "BENCH_hotpath.json");
-  std::ofstream out(json_path);
-  out << "{\n"
-      << "  \"schema_version\": 2,\n"
-      << "  \"bench\": \"hotpath\",\n"
-      << "  \"model\": \"resnet_lite\",\n"
-      << "  \"image\": " << image << ",\n"
-      << "  \"base_filters\": " << spec.base_filters << ",\n"
-      << "  \"blocks\": " << spec.blocks << ",\n"
-      << "  \"batch\": " << batch << ",\n"
-      << "  \"steps\": " << steps << ",\n"
-      << "  \"warmup\": " << warmup << ",\n"
-      << "  \"reps\": " << kReps << ",\n"
-      << "  \"hardware_threads\": " << hw << ",\n"
-      << "  \"simd\": \"" << simd << "\",\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ThreadResult& r = results[i];
-    out << "    {\"threads\": " << r.threads
-        << ", \"steps_per_sec\": " << r.steps_per_sec
-        << ", \"speedup_vs_1\": " << r.speedup_vs_1 << ", \"oversubscribed\": "
-        << (r.oversubscribed ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_path << "\n";
 
   // Kernel-time telemetry from the same sweep: span counts and wall-clock
   // latency distributions for the GEMM/im2col hot paths.
   const auto& gemm = obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
   std::cout << "exec.gemm_s: " << gemm.count() << " spans, p95 "
             << Table::fmt(gemm.percentile(0.95) * 1e3, 3) << " ms\n";
-  bench::write_obs_json("hotpath", obs::registry().snapshot(),
-                        cfg.get_string("obs_out", "BENCH_obs.json"));
+
+  bench::write_json(cfg, "hotpath", {}, [&](JsonWriter& json) {
+    json.field("model", "resnet_lite");
+    json.field("image", image);
+    json.field("base_filters", spec.base_filters);
+    json.field("blocks", spec.blocks);
+    json.field("batch", batch);
+    json.field("steps", steps);
+    json.field("warmup", warmup);
+    json.open_array("results");
+    for (const auto& w : widths) {
+      json.open_object();
+      json.field("threads", w->threads);
+      json.field("steps_per_sec", w->steps_per_sec);
+      json.field("speedup_vs_1", w->speedup_vs_1);
+      json.field("oversubscribed", w->oversubscribed);
+      bench::write_spread(json, "loop_s", w->loop_s);
+      json.close_object();
+    }
+    json.close_array();
+    json.raw("metrics", obs::registry().snapshot().to_json());
+  });
 
   if (smoke) {
     // CI gate: the widest in-core pool must not lose to serial. On a 1-core
     // host only the serial row exists and the gate passes trivially (there is
     // nothing to scale into).
-    const ThreadResult* widest = nullptr;
-    for (const ThreadResult& r : results) {
-      if (!r.oversubscribed) widest = &r;
+    const Width* widest = nullptr;
+    for (const auto& w : widths) {
+      if (!w->oversubscribed) widest = w.get();
     }
     if (widest != nullptr && widest->threads > 1 && widest->speedup_vs_1 < 1.0) {
       std::cerr << "SMOKE FAIL: " << widest->threads

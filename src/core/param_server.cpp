@@ -148,6 +148,17 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
   std::vector<float> out(bundled ? plan_.total() : 0);
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const WireFrame frame = read_frame_header(parts[s]);
+    // A checksum-valid frame of the wrong length (encoded against another
+    // plan's slice) decodes to a vector the blend cannot route: drop it
+    // before any base is looked up.
+    const std::size_t expected =
+        bundled ? plan_.slice(s).size() : plan_.total();
+    if (frame.count != expected) {
+      if (tally == nullptr) return std::nullopt;
+      metrics_.frames_dropped.inc();
+      ++(*tally)[s].frames_dropped;
+      return std::nullopt;
+    }
     const auto& ring = base_rings_[s];
     const auto it = ring.find(frame.base_version);
     std::span<const float> base;
@@ -179,9 +190,8 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
     }
     std::vector<float> slice = decode_params(parts[s], base);
     if (!bundled) return slice;
-    const auto dst = plan_.view(std::span<float>(out), s);
-    if (slice.size() != dst.size()) return std::nullopt;
-    std::copy(slice.begin(), slice.end(), dst.begin());
+    std::copy(slice.begin(), slice.end(),
+              plan_.view(std::span<float>(out), s).begin());
   }
   return out;
 }

@@ -160,8 +160,12 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   ///  * lossless delta frames carry *bit-space* word diffs — against any
   ///    other base they decode to arbitrary floats — so the whole upload is
   ///    dropped (nullopt, counted in wire_codec.frames_dropped).
-  /// A bundle whose part count differs from the plan is dropped too.
-  /// Without `tally` (peek) nothing is counted and any miss is nullopt.
+  /// A bundle whose part count differs from the plan is dropped too, and so
+  /// is a part whose float count differs from its slice (the whole vector
+  /// for a bare frame), before any ring lookup (counted in frames_dropped
+  /// and the shard's stat).
+  /// Without `tally` (peek) nothing is counted and any miss or drop is
+  /// nullopt.
   std::optional<std::vector<float>> decode_upload(
       const Blob& payload, std::vector<ShardWireStats>* tally) const;
   /// Decodes `env`'s upload and applies Eq. (1) to `server_params`; false

@@ -4,59 +4,25 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json_writer.hpp"
+
 namespace vcdl {
-namespace {
 
-// Minimal JSON emitter: numbers and strings only, keys are trusted literals.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostringstream& os) : os_(os) {
-    os_ << std::setprecision(10);
-  }
-
-  void open_object() { sep(); os_ << '{'; fresh_ = true; }
-  void close_object() { os_ << '}'; fresh_ = false; }
-  void open_array(const char* key) { sep(); quote(key); os_ << ":["; fresh_ = true; }
-  void close_array() { os_ << ']'; fresh_ = false; }
-
-  void field(const char* key, double v) { sep(); quote(key); os_ << ':' << v; }
-  void field(const char* key, std::uint64_t v) { sep(); quote(key); os_ << ':' << v; }
-  void field(const char* key, const std::string& v) {
-    sep();
-    quote(key);
-    os_ << ':';
-    quote(v);
-  }
-
- private:
-  void sep() {
-    if (!fresh_) os_ << ',';
-    fresh_ = false;
-  }
-  void quote(const std::string& s) {
-    os_ << '"';
-    for (const char ch : s) {
-      if (ch == '"' || ch == '\\') os_ << '\\';
-      os_ << ch;
-    }
-    os_ << '"';
-  }
-
-  std::ostringstream& os_;
-  bool fresh_ = true;
-};
-
-}  // namespace
-
-std::string to_json(const TrainResult& result) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.open_object();
-  w.field("label", result.spec.label());
-  w.field("alpha", result.spec.alpha);
-  w.field("store", result.spec.store);
-  w.field("num_shards", result.spec.num_shards);
-  w.field("seed", static_cast<std::uint64_t>(result.spec.seed));
+void write_run(JsonWriter& w, const TrainResult& result) {
+  const ExperimentSpec& spec = result.spec;
+  w.field("label", spec.label());
+  w.field("alpha", spec.alpha);
+  w.field("store", spec.store);
+  w.field("num_shards", spec.num_shards);
+  w.field("seed", static_cast<std::uint64_t>(spec.seed));
+  w.field("wire_codec", spec.wire_codec);
+  w.field("param_shards", spec.param_shards);
+  w.field("shard_policy", shard_policy_name(spec.shard_policy));
+  w.field("replication", spec.replication);
+  w.field("interruption_per_hour",
+          spec.preemptible ? spec.interruption_per_hour : 0.0);
+  w.field("adversary_fraction", spec.adversary.fraction);
+  w.field("consensus", spec.consensus.enabled);
   w.open_array("epochs");
   for (const auto& e : result.epochs) {
     w.open_object();
@@ -79,10 +45,35 @@ std::string to_json(const TrainResult& result) {
   w.field("timeouts", t.timeouts);
   w.field("preemptions", t.preemptions);
   w.field("lost_updates", t.lost_updates);
+  w.field("store_reads", t.store_reads);
   w.field("store_writes", t.store_writes);
   w.field("cache_hits", t.cache_hits);
   w.field("bytes_wire", t.bytes_wire);
+  w.field("bytes_uploaded", t.bytes_uploaded);
+  w.field("param_bytes_wire", t.param_bytes_wire);
+  w.field("param_bytes_full", t.param_bytes_full);
+  w.field("delta_pulls", t.delta_pulls);
+  w.field("duplicates", t.duplicates);
   w.field("parameter_count", t.parameter_count);
+  w.field("transfer_failures", t.transfer_failures);
+  w.field("abandoned_subtasks", t.abandoned_subtasks);
+  w.field("invalid_results", t.invalid_results);
+  w.field("server_crashes", t.server_crashes);
+  w.field("checkpoint_restores", t.checkpoint_restores);
+  w.field("reissued_units", t.reissued_units);
+  w.field("byzantine_attacks", t.byzantine_attacks);
+  w.field("consensus_quorums", t.consensus_quorums);
+  w.field("consensus_fallbacks", t.consensus_fallbacks);
+  w.field("results_outvoted", t.results_outvoted);
+  w.field("blend_rejections", t.blend_rejections);
+  w.field("spot_checks", t.spot_checks);
+}
+
+std::string to_json(const TrainResult& result) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.open_object();
+  write_run(w, result);
   w.close_object();
   return os.str();
 }

@@ -2,7 +2,8 @@
 //
 // The bench binaries print aligned tables; downstream users replotting the
 // paper's figures want machine-readable series. JSON carries the full run
-// (spec echo + per-epoch series + totals); CSV carries just the series.
+// (spec echo + per-epoch series + every RunTotals field); CSV carries just
+// the series.
 #pragma once
 
 #include <iosfwd>
@@ -11,6 +12,12 @@
 #include "core/job.hpp"
 
 namespace vcdl {
+
+class JsonWriter;
+
+/// Writes the run's members (spec echo, per-epoch series, totals) into the
+/// object `w` has open, so a caller can add members of its own.
+void write_run(JsonWriter& w, const TrainResult& result);
 
 /// Full run as a single JSON object (stable key order, no dependencies).
 std::string to_json(const TrainResult& result);

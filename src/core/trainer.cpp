@@ -1,8 +1,12 @@
 #include "core/trainer.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <thread>
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
@@ -505,6 +509,34 @@ TrainResult VcTrainer::run() {
 
 TrainResult run_experiment(const ExperimentSpec& spec) {
   return VcTrainer(spec).run();
+}
+
+std::vector<TrainResult> run_experiments(
+    const std::vector<ExperimentSpec>& specs) {
+  std::vector<TrainResult> results(specs.size());
+  std::vector<std::exception_ptr> errors(specs.size());
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < specs.size(); i = next++) {
+      try {
+        results[i] = run_experiment(specs[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::thread::hardware_concurrency(),
+                               specs.size()));
+  {
+    std::vector<std::jthread> pool;
+    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+    worker();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
 }
 
 }  // namespace vcdl

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "common/wire_codec.hpp"
 #include "core/job.hpp"
@@ -40,6 +41,13 @@ class VcTrainer {
 
 /// Convenience wrapper used by benches/examples.
 TrainResult run_experiment(const ExperimentSpec& spec);
+
+/// Runs independent specs side by side on max(1, min(hardware threads, n))
+/// threads; each run owns its metrics registry, so every result equals the
+/// one run_experiment returns for the same spec. Results come back in spec
+/// order. A failed run does not stop the others: once every thread has
+/// joined, the first failure in spec order is rethrown.
+std::vector<TrainResult> run_experiments(const std::vector<ExperimentSpec>& specs);
 
 // --- Subtask executor --------------------------------------------------------
 //

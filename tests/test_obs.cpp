@@ -19,14 +19,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <iostream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "core/report.hpp"
 #include "core/trainer.hpp"
 #include "grid/consensus.hpp"
 #include "grid/file_server.hpp"
@@ -774,6 +779,89 @@ TEST(ObsRunRegistry, ConcurrentRunsMatchSequential) {
     EXPECT_EQ(r->metrics.histograms.at("exec.im2col_s").count, 8352u);
   }
   EXPECT_EQ(default_gemm.count(), default_gemm_before);
+}
+
+// --- Concurrent sweep ---------------------------------------------------------
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::transform(v.begin(), v.end(), bits.begin(),
+                 [](float f) { return std::bit_cast<std::uint32_t>(f); });
+  return bits;
+}
+
+// run_experiments runs its specs side by side; each result must equal the
+// sequential run_experiment of the same spec, field for field. A spec that
+// VcTrainer rejects fails the sweep only after every other run has finished.
+TEST(Sweep, RunExperimentsMatchesSequential) {
+  ExperimentSpec faulty = tiny_image_spec();
+  faulty.faults.download.drop_prob = 0.15;
+  faulty.faults.upload.drop_prob = 0.15;
+  faulty.faults.download.stall_prob = 0.10;
+  faulty.faults.corruption_prob = 0.05;
+  faulty.client_retry.base_backoff_s = 2.0;
+  ExperimentSpec sharded = tiny_image_spec();
+  sharded.param_shards = 2;
+  sharded.wire_codec = "delta";
+  const std::vector<ExperimentSpec> specs = {tiny_image_spec(), faulty,
+                                             sharded};
+
+  const std::vector<TrainResult> swept = run_experiments(specs);
+  ASSERT_EQ(swept.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    const TrainResult alone = run_experiment(specs[i]);
+    const TrainResult& r = swept[i];
+    EXPECT_EQ(float_bits(r.final_params), float_bits(alone.final_params));
+    EXPECT_EQ(r.metrics.to_json(), alone.metrics.to_json());
+    EXPECT_EQ(to_json(r), to_json(alone));
+    ASSERT_EQ(r.epochs.size(), alone.epochs.size());
+    for (std::size_t e = 0; e < r.epochs.size(); ++e) {
+      const EpochStats& a = r.epochs[e];
+      const EpochStats& b = alone.epochs[e];
+      EXPECT_EQ(a.epoch, b.epoch);
+      EXPECT_EQ(a.alpha, b.alpha);
+      EXPECT_EQ(a.end_time, b.end_time);
+      EXPECT_EQ(a.mean_subtask_acc, b.mean_subtask_acc);
+      EXPECT_EQ(a.min_subtask_acc, b.min_subtask_acc);
+      EXPECT_EQ(a.max_subtask_acc, b.max_subtask_acc);
+      EXPECT_EQ(a.std_subtask_acc, b.std_subtask_acc);
+      EXPECT_EQ(a.val_acc, b.val_acc);
+      EXPECT_EQ(a.test_acc, b.test_acc);
+      EXPECT_EQ(a.results, b.results);
+    }
+  }
+  EXPECT_GT(swept[1].totals.transfer_failures, 0u);
+  EXPECT_GT(swept[2].totals.delta_pulls, 0u);
+
+  // The rejected spec goes first, so it fails at once; every other run still
+  // logs its last epoch before the failure surfaces.
+  ExperimentSpec rejected = tiny_image_spec();
+  rejected.batch_size = 0;
+  std::vector<ExperimentSpec> with_rejected = specs;
+  with_rejected.insert(with_rejected.begin(), rejected);
+  std::ostringstream log;
+  std::streambuf* const clog_buf = std::clog.rdbuf(log.rdbuf());
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::info);
+  std::string error;
+  try {
+    (void)run_experiments(with_rejected);
+  } catch (const Error& e) {
+    error = e.what();
+  }
+  set_log_level(level);
+  std::clog.rdbuf(clog_buf);
+  EXPECT_NE(error.find("batch_size"), std::string::npos) << error;
+  const std::string text = log.str();
+  const std::string last_epoch =
+      "epoch " + std::to_string(specs[0].max_epochs) + " t=";
+  std::size_t finished = 0;
+  for (std::size_t at = text.find(last_epoch); at != std::string::npos;
+       at = text.find(last_epoch, at + 1)) {
+    ++finished;
+  }
+  EXPECT_EQ(finished, specs.size()) << text;
 }
 
 }  // namespace

@@ -305,8 +305,9 @@ TEST(ParamServerWire, EarlierReplicaBaseStaysPinnedAcrossRingChurn) {
 // --- Every upload decode outcome, pinned -------------------------------------
 //
 // One table over {bare frame at 1 shard, 4-part bundle at 4 shards, bare frame
-// at 4 shards, 2-part bundle at 4 shards} x {delta, delta_q8} x {ring hit,
-// ring miss} x {decode, peek}. A decode row records the published params
+// at 4 shards, 2-part bundle at 4 shards, bare frame over shard 0's slice at
+// 4 shards, 4-part bundle whose part 1 is one float short} x {delta,
+// delta_q8} x {ring hit, ring miss} x {decode, peek}. A decode row records the published params
 // after the blend (or "nullopt" when the upload was dropped) and the deltas
 // of the wire_codec counters and of every shard_wire_stats() entry; a peek
 // row records the peeked vector and the same deltas (which must stay zero).
@@ -329,7 +330,9 @@ enum class UploadShape {
   bare_1shard,
   bundle_4shard,
   bare_4shard,
-  short_bundle
+  short_bundle,
+  slice_bare,
+  wrong_count_part
 };
 
 std::string decode_outcome(UploadShape shape, WireMode mode, bool ring_hit,
@@ -360,12 +363,20 @@ std::string decode_outcome(UploadShape shape, WireMode mode, bool ring_hit,
   Blob payload;
   if (shape == UploadShape::bare_1shard || shape == UploadShape::bare_4shard) {
     payload = encode(base, client);
+  } else if (shape == UploadShape::slice_bare) {
+    payload = encode(plan.view(std::span<const float>(base), 0),
+                     plan.view(std::span<const float>(client), 0));
   } else {
     std::vector<Blob> parts;
     const std::size_t n = shape == UploadShape::short_bundle ? 2 : 4;
     for (std::size_t s = 0; s < n; ++s) {
-      parts.push_back(encode(plan.view(std::span<const float>(base), s),
-                             plan.view(std::span<const float>(client), s)));
+      auto b = plan.view(std::span<const float>(base), s);
+      auto t = plan.view(std::span<const float>(client), s);
+      if (shape == UploadShape::wrong_count_part && s == 1) {
+        b = b.first(b.size() - 1);
+        t = t.first(t.size() - 1);
+      }
+      parts.push_back(encode(b, t));
     }
     payload = pack_shard_frames(parts);
   }
@@ -474,8 +485,43 @@ TEST(ParamServerWire, EveryDecodeOutcomeIsPinned) {
        "nullopt 0 0 1 0/0/0 0/0/0 0/0/0 0/0/0"},
       {short_bundle, q, false, true,
        "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      // Wrong-count parts are dropped before any base lookup, so none of
+      // these reaches ShardPlan::view or decode_params (both would throw out
+      // of the engine).
+      {slice_bare, d, true, false,
+       "nullopt 0 0 1 0/0/1 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, d, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, d, false, false,
+       "nullopt 0 0 1 0/0/1 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, d, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, q, true, false,
+       "nullopt 0 0 1 0/0/1 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, q, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, q, false, false,
+       "nullopt 0 0 1 0/0/1 0/0/0 0/0/0 0/0/0"},
+      {slice_bare, q, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {wrong_count_part, d, true, false,
+       "nullopt 1 0 1 1/0/0 0/0/1 0/0/0 0/0/0"},
+      {wrong_count_part, d, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {wrong_count_part, d, false, false,
+       "nullopt 0 1 1 0/1/1 0/0/0 0/0/0 0/0/0"},
+      {wrong_count_part, d, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {wrong_count_part, q, true, false,
+       "nullopt 1 0 1 1/0/0 0/0/1 0/0/0 0/0/0"},
+      {wrong_count_part, q, true, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
+      {wrong_count_part, q, false, false,
+       "nullopt 0 1 1 0/1/0 0/0/1 0/0/0 0/0/0"},
+      {wrong_count_part, q, false, true,
+       "nullopt 0 0 0 0/0/0 0/0/0 0/0/0 0/0/0"},
   };
-  ASSERT_EQ(rows.size(), 32u);
+  ASSERT_EQ(rows.size(), 48u);
   for (const Row& r : rows) {
     EXPECT_EQ(decode_outcome(r.shape, r.mode, r.hit, r.peek), r.expected)
         << "shape " << static_cast<int>(r.shape) << " mode "

@@ -1,8 +1,11 @@
 #include "core/report.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
+
+#include "common/json_writer.hpp"
 
 namespace vcdl {
 namespace {
@@ -65,6 +68,29 @@ TEST(Report, JsonEscapesStrings) {
   r.spec.alpha = "a\"b\\c";
   const std::string json = to_json(r);
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
+}
+
+// The bench files' writer: a string literal stays a string (not the bool
+// overload), a non-finite double becomes null, and embedded JSON is
+// re-indented to its depth.
+TEST(Report, JsonWriterIndentsAndTypesValues) {
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/2);
+  w.open_object();
+  w.field("s", "text");
+  w.field("b", false);
+  w.field("n", std::uint64_t{3});
+  w.field("x", std::nan(""));
+  w.open_object("o");
+  w.raw("m", "{\n  \"k\": 1\n}\n");
+  w.close_object();
+  w.open_array("a");
+  w.close_array();
+  w.close_object();
+  EXPECT_EQ(os.str(),
+            "{\n  \"s\": \"text\",\n  \"b\": false,\n  \"n\": 3,\n"
+            "  \"x\": null,\n  \"o\": {\n    \"m\": {\n      \"k\": 1\n"
+            "    }\n  },\n  \"a\": []\n}");
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerEpoch) {
